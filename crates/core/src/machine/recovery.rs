@@ -242,8 +242,7 @@ impl KernelCtx<'_, '_> {
             // moves the home).
             payload => {
                 if let Some(g) = home_notification_group(&payload) {
-                    let home = self.home_of(g);
-                    self.send(now, from_ki, home, payload);
+                    self.resend_home_notification(from_ki, to, g, payload, now);
                 }
             }
         }

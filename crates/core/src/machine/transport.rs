@@ -12,7 +12,7 @@
 
 use popcorn_kernel::osmodel::OsEvent;
 use popcorn_kernel::program::SysResult;
-use popcorn_kernel::types::{Errno, Tid};
+use popcorn_kernel::types::{Errno, GroupId, Tid};
 use popcorn_msg::{Delivery, KernelId, RpcId, SendOutcome, SendPlan};
 use popcorn_sim::SimTime;
 
@@ -276,13 +276,36 @@ impl KernelCtx<'_, '_> {
             // successor.
             msg => {
                 if let Some(g) = super::recovery::home_notification_group(&msg) {
-                    let home = self.home_of(g);
-                    self.send(at, from, home, msg);
+                    self.resend_home_notification(from, to, g, msg, at);
                 }
                 // Responses: nothing to unwind at the sender; the blocked
                 // requester is covered by its own deadline.
             }
         }
+    }
+
+    /// Restarts a home notification for `group` that could not reach
+    /// `unreachable`, toward the group's current home. Dropped instead
+    /// when nobody will ever consume it: the group is gone, or `from` has
+    /// already declared `unreachable` dead and it is still the home — an
+    /// unadopted group whose home stays the dead kernel. Restarting
+    /// either would re-chain toward the dead kernel forever.
+    pub(super) fn resend_home_notification(
+        &mut self,
+        from: usize,
+        unreachable: KernelId,
+        group: GroupId,
+        msg: ProtoMsg,
+        at: SimTime,
+    ) {
+        if !self.groups.contains_key(&group) {
+            return;
+        }
+        let home = self.home_of(group);
+        if home == unreachable && self.recovery.declared[from].contains(&unreachable) {
+            return;
+        }
+        self.send(at, from, home, msg);
     }
 
     /// The receive side of the event loop: consumes reliability-layer

@@ -191,6 +191,32 @@ fn sharding_on_one_socket_degenerates_to_flat_byte_for_byte() {
     }
 }
 
+/// Case 11 of the property above, pinned: 8.9% drops, 17.79% delays and
+/// kernel 0 — the static home of the leader's group — crashing at
+/// 1.551 ms. A `PageDone` for the already-reaped group kept failing
+/// toward the dead kernel, and each failure restarted it toward the same
+/// dead kernel (a gone group has no adopter, so its home never moves):
+/// the run livelocked into `EventBudgetExhausted`. Such a notification
+/// has no consumer and must be dropped, so the queue drains.
+#[test]
+fn notification_for_reaped_group_does_not_rechain_to_dead_home() {
+    let plan = FaultPlan {
+        seed: 0x4c61_d355_c6e9_aa7d,
+        uniform: Some(ChannelFaults {
+            drop_p: 0.089,
+            dup_p: 0.0002,
+            delay_p: 0.1779,
+            delay_max_ns: 20_000,
+        }),
+        ..FaultPlan::none()
+    }
+    .with_crash(KernelId(0), SimTime::from_micros(1_551));
+    for sharding in [false, true] {
+        let r = collapsed_run(Topology::new(1, 8), 4, plan.clone(), sharding);
+        assert_eq!(r.stop, StopCondition::QueueEmpty, "sharding={sharding}");
+    }
+}
+
 /// The other collapse: a single kernel spanning every socket (one
 /// cluster over the whole machine). With no second kernel there is
 /// nobody to delegate to, and sharded must equal flat exactly.

@@ -50,11 +50,16 @@ impl CoreState {
 /// What [`Kernel::run_core`] found to do.
 #[derive(Debug)]
 pub enum RunOutcome {
-    /// No runnable task; the core sleeps until a wake kicks it.
+    /// Nothing to do on this poll: either no runnable task (the core
+    /// sleeps until a wake kicks it), or a stale poll on a core that is
+    /// still occupied — whoever occupies it kicks it when it frees (see
+    /// [`crate::osmodel::ensure_core_run`]), so the poll schedules nothing.
     Idle,
-    /// The core is occupied until `until`; re-poll then.
+    /// The running thread yielded to the event loop without giving up the
+    /// core — the batching bound, or a sole runner's compute slice ending
+    /// — so events due before `until` get seen; re-poll at `until`.
     Busy {
-        /// When the occupation ends.
+        /// When the core resumes.
         until: SimTime,
     },
     /// The time slice expired and another thread was switched in.
@@ -355,10 +360,11 @@ impl Kernel {
             .get(&core)
             .unwrap_or_else(|| panic!("{core} not owned by {}", self.id));
 
+        // A stale poll: whoever occupies the core until `busy_until` has
+        // already scheduled the kick that ends the occupation, so this one
+        // has nothing to do and must not re-arm itself.
         if self.cores[ci].busy_until > now {
-            return RunOutcome::Busy {
-                until: self.cores[ci].busy_until,
-            };
+            return RunOutcome::Idle;
         }
         let mut t = now;
 
@@ -994,6 +1000,21 @@ impl Kernel {
             .count()
     }
 
+    /// Live (non-exited, non-shadow) tasks in any state, ascending. At
+    /// queue drain every one of them is stuck: a blocked task lost its
+    /// wake, and a ready, running or in-syscall one lost the kick of the
+    /// core it is queued on or occupies.
+    pub fn live_task_ids(&self) -> Vec<Tid> {
+        let mut v: Vec<_> = self
+            .tasks
+            .values()
+            .filter(|t| !t.is_exited() && !t.is_shadow())
+            .map(|t| t.tid)
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
     /// Tasks that are blocked (for stuck-detection in reports).
     pub fn blocked_tasks(&self) -> Vec<Tid> {
         let mut v: Vec<_> = self
@@ -1527,19 +1548,64 @@ mod tests {
     }
 
     #[test]
-    fn busy_core_reports_busy() {
+    fn stale_poll_on_occupied_core_is_idle() {
         let mut k = kernel();
         let g = group(&mut k);
-        let tid = k.alloc_tid();
-        let core = k.spawn(tid, g, Box::new(Spin { chunks: 1 }), None, SimTime::ZERO);
+        let first = k.alloc_tid();
+        let core = k.spawn(first, g, Box::new(Spin { chunks: 1 }), None, SimTime::ZERO);
+        let second = k.alloc_tid();
+        k.spawn(
+            second,
+            g,
+            Box::new(Spin { chunks: 0 }),
+            Some(core),
+            SimTime::ZERO,
+        );
         let at = match k.run_core(SimTime::ZERO, core) {
-            RunOutcome::Exited { at, .. } => at,
+            RunOutcome::Exited { tid, at, .. } => {
+                assert_eq!(tid, first);
+                at
+            }
             other => panic!("unexpected {other:?}"),
         };
-        // A stale event before `at` sees a busy core.
-        match k.run_core(SimTime::ZERO, core) {
-            RunOutcome::Busy { until } => assert_eq!(until, at),
-            other => panic!("expected busy, got {other:?}"),
+        // A stale poll before `at` finds the core occupied by the exit
+        // teardown: it schedules nothing (the exit's own kick at `at` ends
+        // the occupation) and leaves the queued thread waiting.
+        assert!(matches!(k.run_core(SimTime::ZERO, core), RunOutcome::Idle));
+        assert_eq!(k.core_load(core), 1, "queued thread not dispatched early");
+        // The occupant's kick at `at` runs it.
+        match k.run_core(at, core) {
+            RunOutcome::Exited { tid, .. } => assert_eq!(tid, second),
+            other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn stuck_tasks_count_a_ready_thread_that_lost_its_kick() {
+        let mut k = kernel();
+        let g = group(&mut k);
+        let done = k.alloc_tid();
+        k.spawn(
+            done,
+            g,
+            Box::new(Spin { chunks: 0 }),
+            Some(CoreId(0)),
+            SimTime::ZERO,
+        );
+        assert!(matches!(
+            k.run_core(SimTime::ZERO, CoreId(0)),
+            RunOutcome::Exited { .. }
+        ));
+        // Queued on core 1, whose kick never comes.
+        let lost = k.alloc_tid();
+        k.spawn(
+            lost,
+            g,
+            Box::new(Spin { chunks: 0 }),
+            Some(CoreId(1)),
+            SimTime::ZERO,
+        );
+        assert!(k.blocked_tasks().is_empty(), "not blocked, just forgotten");
+        assert_eq!(crate::osmodel::stuck_tasks(&[k]), vec![lost]);
     }
 }

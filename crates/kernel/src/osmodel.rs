@@ -51,6 +51,17 @@ pub enum OsEvent<X> {
 }
 
 /// Schedules a `CoreRun` for `(kernel, core)` at `at` (clamped to now).
+///
+/// Kicks are not coalesced, so the scheduling contract is *whoever
+/// occupies a core kicks it when it frees*: every [`Kernel`] call that
+/// marks a core occupied until some time (finishing a syscall, sync op or
+/// inline fault, blocking or migrating the current thread, an exit) is
+/// followed by its caller's kick of that core at the time it frees. A kick
+/// that lands earlier — a wake onto a core whose current thread is still
+/// in a syscall, say — is a stale poll: [`Kernel::run_core`] answers it
+/// with [`RunOutcome::Idle`] and it ends there, because the occupant's own
+/// kick is already queued. Only the batching and compute-slice yields
+/// ([`RunOutcome::Busy`]) and preemptions re-arm a core from here.
 pub fn ensure_core_run<X>(
     sched: &mut Scheduler<OsEvent<X>>,
     kernel: u16,
@@ -189,8 +200,9 @@ pub struct RunReport {
     pub finished_at: SimTime,
     /// Threads that exited.
     pub exited_tasks: u64,
-    /// Threads still blocked when the event queue drained (deadlock
-    /// indicator; empty on a healthy run).
+    /// Threads still live when the run stopped (see [`stuck_tasks`]). At
+    /// queue drain this is the deadlock and lost-kick indicator; empty on
+    /// a healthy run.
     pub stuck_tasks: Vec<Tid>,
     /// Simulation events processed.
     pub events: u64,
@@ -308,9 +320,13 @@ pub fn base_metrics(kernels: &[Kernel]) -> BTreeMap<String, f64> {
     m
 }
 
-/// Collects blocked (potentially deadlocked) tasks across kernels.
+/// Collects the tasks that never finished, across kernels: every live,
+/// non-shadow task, whatever its state. Called at queue drain this is the
+/// deadlock *and* lost-kick oracle — a blocked task missed its wake, and a
+/// ready, running or in-syscall task missed the `CoreRun` that the
+/// occupancy contract (see [`ensure_core_run`]) promised its core.
 pub fn stuck_tasks(kernels: &[Kernel]) -> Vec<Tid> {
-    let mut v: Vec<Tid> = kernels.iter().flat_map(|k| k.blocked_tasks()).collect();
+    let mut v: Vec<Tid> = kernels.iter().flat_map(|k| k.live_task_ids()).collect();
     v.sort_unstable();
     v
 }

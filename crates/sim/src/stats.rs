@@ -670,6 +670,6 @@ mod tests {
         assert_eq!(ts.disorder(), 1);
         let pts: Vec<_> = ts.iter().collect();
         assert_eq!(pts[1].0, SimTime::from_nanos(10), "clamped, not reordered");
-        assert_eq!(ts.time_weighted_mean(), 1.0);
+        assert_eq!(ts.time_weighted_mean(), 1.5, "zero span → point mean");
     }
 }
