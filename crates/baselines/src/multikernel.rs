@@ -22,8 +22,6 @@
 //! another core's kernel), shipping the current VMA layout so the new
 //! thread has the same address-space shape with private contents.
 
-use std::collections::HashMap;
-
 use popcorn_hw::{CoreId, HwParams, Machine, Topology};
 use popcorn_kernel::futex::{FutexTable, Waiter};
 use popcorn_kernel::kernel::Kernel;
@@ -39,7 +37,7 @@ use popcorn_msg::{
     Delivery, Endpoint, Fabric, KernelId, MsgParams, ReliableFabric, RetxPolicy, RpcId, SendPlan,
     SeqEnvelope, Wire,
 };
-use popcorn_sim::{Counter, Handler, Scheduler, SimTime, Simulator};
+use popcorn_sim::{Counter, FastMap, Handler, Scheduler, SimTime, Simulator};
 
 use crate::params::MultikernelParams;
 
@@ -212,7 +210,7 @@ pub struct MultikernelMachine {
     machine: Machine,
     params: MultikernelParams,
     futex: FutexTable,
-    groups: HashMap<GroupId, MkGroup>,
+    groups: FastMap<GroupId, MkGroup>,
     /// Per-kernel RPC endpoints. Every pending continuation is just the
     /// blocked thread, so the continuation type is [`Tid`] directly.
     rpcs: Vec<Endpoint<Tid>>,
@@ -1009,7 +1007,7 @@ impl MultikernelOsBuilder {
                 machine,
                 params: self.mk,
                 futex: FutexTable::new(),
-                groups: HashMap::new(),
+                groups: FastMap::default(),
                 rpcs: (0..n).map(|_| Endpoint::new()).collect(),
                 auto_cursor: 0,
                 stats: MkStats::default(),

@@ -1,11 +1,17 @@
 //! Criterion benches for the simulation substrate itself: event queue,
-//! RNG, histogram, lock-site model and fabric. These bound how large an
-//! experiment the harness can afford.
+//! RNG, histogram, lock-site model, fabric and the kernel model's run
+//! loop. These bound how large an experiment the harness can afford.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use popcorn_hw::{CoreId, HwParams, Interconnect, LockSite, RwLockSite, Topology};
+use popcorn_hw::{CoreId, HwParams, Interconnect, LockSite, Machine, RwLockSite, Topology};
+use popcorn_kernel::kernel::{Kernel, RunOutcome};
+use popcorn_kernel::mm::{Mm, PageState};
+use popcorn_kernel::params::OsParams;
+use popcorn_kernel::program::{Op, ProgEnv, Program, Resume};
+use popcorn_kernel::types::{GroupId, VAddr};
+use popcorn_msg::KernelId;
 use popcorn_sim::{
     run_partitioned, Handler, Histogram, Partition, Scheduler, SimRng, SimTime, Simulator,
 };
@@ -325,6 +331,71 @@ fn bench_epoch_scheduler(c: &mut Criterion) {
     });
 }
 
+/// Alternates a store to one of 4 resident pages with a short compute,
+/// `ops` operations in all, then exits.
+#[derive(Debug)]
+struct StoreCompute {
+    base: VAddr,
+    ops: u64,
+    done: u64,
+}
+
+impl Program for StoreCompute {
+    fn step(&mut self, _r: Resume, _e: &ProgEnv) -> Op {
+        if self.done == self.ops {
+            return Op::Exit(0);
+        }
+        self.done += 1;
+        if self.done % 2 == 1 {
+            let page = (self.done / 2) % 4;
+            Op::Store(VAddr(self.base.0 + page * VAddr::PAGE_SIZE + 8), self.done)
+        } else {
+            Op::Compute(50)
+        }
+    }
+}
+
+/// `Kernel::run_core`, the per-op hot loop every modelled instruction
+/// goes through: one kernel, one task, a store/compute loop over 4
+/// resident pages, no faults, reported per modelled op.
+fn bench_run_core(c: &mut Criterion) {
+    const OPS: u64 = 65_536;
+    let mut g = c.benchmark_group("kernel");
+    g.throughput(Throughput::Elements(OPS));
+    g.bench_function("run_core_store_compute_4pages_64k_ops", |b| {
+        b.iter(|| {
+            let machine = Machine::new(Topology::new(1, 1), HwParams::default());
+            let mut k = Kernel::new(KernelId(0), vec![CoreId(0)], OsParams::default(), machine);
+            let group = GroupId(k.alloc_tid());
+            let mut mm = Mm::new(group);
+            let base = mm.map_anon(4 * VAddr::PAGE_SIZE).expect("map");
+            for p in 0..4 {
+                mm.install_zero_page(
+                    VAddr(base.0 + p * VAddr::PAGE_SIZE).page(),
+                    PageState::Exclusive,
+                );
+            }
+            k.adopt_mm(mm);
+            let tid = k.alloc_tid();
+            let program = StoreCompute {
+                base,
+                ops: OPS,
+                done: 0,
+            };
+            let core = k.spawn(tid, group, Box::new(program), None, SimTime::ZERO);
+            let mut now = SimTime::ZERO;
+            loop {
+                match k.run_core(now, core) {
+                    RunOutcome::Busy { until } => now = until,
+                    RunOutcome::Exited { at, .. } => break black_box(at),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_event_loop,
@@ -332,6 +403,7 @@ criterion_group!(
     bench_rng,
     bench_histogram,
     bench_lock_sites,
-    bench_epoch_scheduler
+    bench_epoch_scheduler,
+    bench_run_core
 );
 criterion_main!(benches);

@@ -40,9 +40,6 @@ pub struct PopcornParams {
     /// Ablation: replicate the whole VMA layout with each migration
     /// (`false` = the paper's on-demand VMA retrieval).
     pub eager_vma_replication: bool,
-    /// Ablation: push every resident page of the address space with the
-    /// migrating thread (`false` = the paper's on-demand page retrieval).
-    pub eager_page_replication: bool,
     /// Reliable delivery over a faulty fabric: sequence numbers, duplicate
     /// suppression, retransmission with backoff, and RPC deadlines. Only
     /// engaged when the fabric's [`popcorn_msg::FaultPlan`] is active —
@@ -160,7 +157,6 @@ impl Default for PopcornParams {
             futex_local_fastpath: true,
             sync_first_touch_homing: false,
             eager_vma_replication: false,
-            eager_page_replication: false,
             reliable_delivery: true,
             retx_base_ns: 50_000,
             retx_cap_ns: 2_000_000,
@@ -195,11 +191,6 @@ impl PopcornParams {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.eager_page_replication && !self.eager_vma_replication {
-            return Err("eager page replication requires eager VMA replication \
-                 (pages cannot be mapped without their VMAs)"
-                .into());
-        }
         // The retransmit bounds live in `RetxPolicy` (popcorn-msg), which
         // owns their validation; surface its verdict here so a bad knob is
         // caught at build time instead of misbehaving silently.
@@ -286,22 +277,6 @@ mod tests {
     #[test]
     fn defaults_validate() {
         assert_eq!(PopcornParams::default().validate(), Ok(()));
-    }
-
-    #[test]
-    fn eager_pages_require_eager_vmas() {
-        let p = PopcornParams {
-            eager_page_replication: true,
-            eager_vma_replication: false,
-            ..PopcornParams::default()
-        };
-        assert!(p.validate().is_err());
-        let ok = PopcornParams {
-            eager_page_replication: true,
-            eager_vma_replication: true,
-            ..PopcornParams::default()
-        };
-        assert_eq!(ok.validate(), Ok(()));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! `criterion` crate (and its large dependency tree) cannot be fetched.
 //! This crate re-implements the small API surface the benches in
 //! `crates/bench/benches/` use — [`Criterion::bench_function`],
-//! [`Criterion::benchmark_group`], [`Bencher::iter`], and the
+//! [`Criterion::benchmark_group`], [`BenchmarkGroup::throughput`],
+//! [`Bencher::iter`], and the
 //! [`criterion_group!`]/[`criterion_main!`] macros — with plain wall-clock
 //! timing: a short warm-up, then timed batches until a fixed measurement
 //! budget elapses, reporting mean ns/iter.
@@ -58,51 +59,77 @@ pub struct Criterion {
     _private: (),
 }
 
+/// Work done by one iteration, mirroring `criterion::Throughput`; the
+/// report then adds the time per element.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Each iteration processes this many elements (ops, events, ...).
+    Elements(u64),
+}
+
 impl Criterion {
-    fn report(name: &str, b: &Bencher) {
+    fn report(name: &str, b: &Bencher, throughput: Option<Throughput>) {
         if b.iters_done == 0 {
             println!("{name:<48} (no iterations)");
             return;
         }
         let ns = b.elapsed.as_nanos() as f64 / b.iters_done as f64;
-        println!("{name:<48} {ns:>14.0} ns/iter  ({} iters)", b.iters_done);
+        match throughput {
+            Some(Throughput::Elements(n)) => println!(
+                "{name:<48} {ns:>14.0} ns/iter  ({} iters)  {:.1} ns/elem",
+                b.iters_done,
+                ns / n.max(1) as f64
+            ),
+            None => println!("{name:<48} {ns:>14.0} ns/iter  ({} iters)", b.iters_done),
+        }
     }
 
-    /// Runs one named benchmark.
-    pub fn bench_function<S, F>(&mut self, id: S, mut f: F) -> &mut Self
-    where
-        S: Into<String>,
-        F: FnMut(&mut Bencher),
-    {
-        let name = id.into();
+    fn run<F: FnMut(&mut Bencher)>(name: &str, throughput: Option<Throughput>, mut f: F) {
         let mut b = Bencher {
             iters_done: 0,
             elapsed: Duration::ZERO,
         };
         f(&mut b);
-        Self::report(&name, &b);
+        Self::report(name, &b, throughput);
+    }
+
+    /// Runs one named benchmark.
+    pub fn bench_function<S, F>(&mut self, id: S, f: F) -> &mut Self
+    where
+        S: Into<String>,
+        F: FnMut(&mut Bencher),
+    {
+        Self::run(&id.into(), None, f);
         self
     }
 
     /// Starts a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            c: self,
+            _c: self,
             prefix: name.into(),
+            throughput: None,
         }
     }
 }
 
 /// A named group of benchmarks, mirroring `criterion::BenchmarkGroup`.
 pub struct BenchmarkGroup<'a> {
-    c: &'a mut Criterion,
+    _c: &'a mut Criterion,
     prefix: String,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
     /// Accepted for API compatibility; this harness sizes runs by time,
     /// not sample count.
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
+        self
+    }
+
+    /// Sets the work per iteration for the group's later benchmarks.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
         self
     }
 
@@ -113,7 +140,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let full = format!("{}/{}", self.prefix, id.into());
-        self.c.bench_function(full, f);
+        Criterion::run(&full, self.throughput, f);
         self
     }
 
@@ -162,5 +189,16 @@ mod tests {
         let mut g = c.benchmark_group("g");
         g.sample_size(10).bench_function("x", |b| b.iter(|| 1 + 1));
         g.finish();
+    }
+
+    #[test]
+    fn throughput_groups_run_their_bodies() {
+        let mut c = Criterion::default();
+        let mut ran = 0u64;
+        let mut g = c.benchmark_group("g");
+        g.throughput(Throughput::Elements(8))
+            .bench_function("x", |b| b.iter(|| ran += 1));
+        g.finish();
+        assert!(ran > 0, "bench body never ran");
     }
 }

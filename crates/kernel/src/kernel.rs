@@ -9,11 +9,11 @@
 //! operations in virtual time until something needs OS attention and
 //! reports a [`RunOutcome`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use popcorn_hw::{CoreId, Machine};
 use popcorn_msg::KernelId;
-use popcorn_sim::{Counter, Histogram, SimTime};
+use popcorn_sim::{Counter, FastMap, Histogram, SimTime};
 
 use crate::mm::{AccessCheck, Mm};
 use crate::params::OsParams;
@@ -141,17 +141,13 @@ pub struct KernelStats {
 pub struct Kernel {
     id: KernelId,
     cores: Vec<CoreState>,
-    core_index: HashMap<CoreId, usize>,
-    tasks: HashMap<Tid, Task>,
-    mms: HashMap<GroupId, Mm>,
+    core_index: FastMap<CoreId, usize>,
+    tasks: FastMap<Tid, Task>,
+    mms: FastMap<GroupId, Mm>,
     next_local_tid: u32,
     params: OsParams,
     machine: Machine,
     mem_access: SimTime,
-    /// Pending memory op of a faulted task, re-attempted after resolution.
-    pending_ops: HashMap<Tid, Op>,
-    /// Wake timestamps for scheduling-latency accounting.
-    wake_stamp: HashMap<Tid, SimTime>,
     /// Rotating tie-breaker for spawn placement (so threads that block
     /// immediately still spread across cores).
     spawn_cursor: usize,
@@ -169,7 +165,7 @@ impl Kernel {
     pub fn new(id: KernelId, cores: Vec<CoreId>, params: OsParams, machine: Machine) -> Self {
         assert!(!cores.is_empty(), "kernel needs at least one core");
         params.validate().expect("invalid OS parameters");
-        let mut core_index = HashMap::new();
+        let mut core_index = FastMap::default();
         for (i, &c) in cores.iter().enumerate() {
             assert!(machine.topology().contains(c), "{c} not in topology");
             assert!(core_index.insert(c, i).is_none(), "duplicate core {c}");
@@ -179,14 +175,12 @@ impl Kernel {
             id,
             cores: cores.into_iter().map(CoreState::new).collect(),
             core_index,
-            tasks: HashMap::new(),
-            mms: HashMap::new(),
+            tasks: FastMap::default(),
+            mms: FastMap::default(),
             next_local_tid: 1,
             params,
             machine,
             mem_access,
-            pending_ops: HashMap::new(),
-            wake_stamp: HashMap::new(),
             spawn_cursor: 0,
             stats: KernelStats::default(),
         }
@@ -317,10 +311,10 @@ impl Kernel {
             .core_index
             .get(&core)
             .unwrap_or_else(|| panic!("{core} not owned by {}", self.id));
-        let task = Task::new(tid, group, program, core);
+        let mut task = Task::new(tid, group, program, core);
+        task.woke_at = Some(now);
         self.tasks.insert(tid, task);
         self.cores[ci].runqueue.push_back(tid);
-        self.wake_stamp.insert(tid, now);
         self.stats.spawned.incr();
         core
     }
@@ -355,74 +349,93 @@ impl Kernel {
     /// Executes the given core from `now` until something needs the OS
     /// model's attention (see [`RunOutcome`]).
     pub fn run_core(&mut self, now: SimTime, core: CoreId) -> RunOutcome {
-        let ci = *self
-            .core_index
+        // Split the borrow once: the core, the current task and its
+        // group's address space are each looked up once per call, not once
+        // per op.
+        let Kernel {
+            id,
+            cores,
+            core_index,
+            tasks,
+            mms,
+            params,
+            machine,
+            mem_access,
+            stats,
+            ..
+        } = self;
+        let mem_access = *mem_access;
+        let ci = *core_index
             .get(&core)
-            .unwrap_or_else(|| panic!("{core} not owned by {}", self.id));
+            .unwrap_or_else(|| panic!("{core} not owned by {id}"));
+        let cs = &mut cores[ci];
 
         // A stale poll: whoever occupies the core until `busy_until` has
         // already scheduled the kick that ends the occupation, so this one
         // has nothing to do and must not re-arm itself.
-        if self.cores[ci].busy_until > now {
+        if cs.busy_until > now {
             return RunOutcome::Idle;
         }
         let mut t = now;
 
         // Dispatch a thread if the core is empty.
-        if self.cores[ci].current.is_none() {
-            let Some(next) = self.cores[ci].runqueue.pop_front() else {
-                return RunOutcome::Idle;
-            };
-            t += self.params.context_switch();
-            self.stats.ctx_switches.incr();
-            if let Some(woke) = self.wake_stamp.remove(&next) {
-                self.stats.sched_latency.record_time(t.saturating_sub(woke));
+        let task = match cs.current {
+            Some(tid) => tasks.get_mut(&tid).expect("current task exists"),
+            None => {
+                let Some(next) = cs.runqueue.pop_front() else {
+                    return RunOutcome::Idle;
+                };
+                t += params.context_switch();
+                stats.ctx_switches.incr();
+                cs.current = Some(next);
+                cs.slice_end = t + params.quantum();
+                let task = tasks.get_mut(&next).expect("queued task exists");
+                if let Some(woke) = task.woke_at.take() {
+                    stats.sched_latency.record_time(t.saturating_sub(woke));
+                }
+                task.state = TaskState::Running;
+                task.stats.ctx_switches += 1;
+                task
             }
-            let task = self.tasks.get_mut(&next).expect("queued task exists");
-            task.state = TaskState::Running;
-            task.stats.ctx_switches += 1;
-            self.cores[ci].current = Some(next);
-            self.cores[ci].slice_end = t + self.params.quantum();
-        }
-        let tid = self.cores[ci].current.expect("dispatched above");
+        };
+        let tid = task.tid;
         debug_assert!(
-            matches!(self.tasks[&tid].state, TaskState::Running),
+            matches!(task.state, TaskState::Running),
             "current task {tid} not Running: {:?}",
-            self.tasks[&tid].state
+            task.state
         );
+        let mut mm = mms.get_mut(&task.group);
 
         let mut ops = 0u32;
         loop {
             // Slice renewal for a sole runner: nobody to switch to.
-            if t >= self.cores[ci].slice_end && self.cores[ci].runqueue.is_empty() {
-                self.cores[ci].slice_end = t + self.params.quantum();
+            if t >= cs.slice_end && cs.runqueue.is_empty() {
+                cs.slice_end = t + params.quantum();
             }
             // Preemption check between ops.
-            if t >= self.cores[ci].slice_end && !self.cores[ci].runqueue.is_empty() {
-                let task = self.tasks.get_mut(&tid).expect("current exists");
+            if t >= cs.slice_end && !cs.runqueue.is_empty() {
                 task.state = TaskState::Ready;
-                self.cores[ci].current = None;
-                self.cores[ci].runqueue.push_back(tid);
-                self.cores[ci].busy_until = t;
-                self.wake_stamp.insert(tid, t);
+                task.woke_at = Some(t);
+                cs.current = None;
+                cs.runqueue.push_back(tid);
+                cs.busy_until = t;
                 return RunOutcome::Preempted { at: t };
             }
             // Batching bound: yield to the event loop without modelling cost.
-            if ops >= self.params.max_batched_ops {
-                self.cores[ci].busy_until = t;
+            if ops >= params.max_batched_ops {
+                cs.busy_until = t;
                 return RunOutcome::Busy { until: t };
             }
             ops += 1;
 
             // Take the pending (faulted) op if any, else step the program.
-            let op = match self.pending_ops.remove(&tid) {
+            let op = match task.pending.take() {
                 Some(op) => op,
                 None => {
-                    let task = self.tasks.get_mut(&tid).expect("current exists");
                     let env = ProgEnv {
                         tid,
                         core,
-                        kernel: self.id,
+                        kernel: *id,
                         now: t,
                     };
                     let resume = std::mem::replace(&mut task.resume, Resume::Done);
@@ -435,8 +448,8 @@ impl Kernel {
 
             match op {
                 Op::Compute(cycles) => {
-                    let dt = self.machine.cycles(cycles);
-                    let slice_end = self.cores[ci].slice_end;
+                    let dt = machine.cycles(cycles);
+                    let slice_end = cs.slice_end;
                     if t + dt > slice_end && dt > SimTime::ZERO {
                         // Compute is preemptible: run to the slice end and
                         // park the remainder as a pending op. The core
@@ -449,51 +462,41 @@ impl Kernel {
                             as u64;
                         let remaining = cycles - consumed_cycles.min(cycles);
                         if remaining > 0 {
-                            self.pending_ops.insert(tid, Op::Compute(remaining));
-                            let task = self.tasks.get_mut(&tid).expect("current exists");
+                            task.pending = Some(Op::Compute(remaining));
                             task.stats.cpu_time += available;
                             t = slice_end;
-                            if self.cores[ci].runqueue.is_empty() {
+                            if cs.runqueue.is_empty() {
                                 // Sole runner: yield to the event loop so
                                 // arrivals within this quantum get seen.
-                                self.cores[ci].busy_until = t;
+                                cs.busy_until = t;
                                 return RunOutcome::Busy { until: t };
                             }
                             continue; // the loop head performs the preemption
                         }
                     }
                     t += dt;
-                    let task = self.tasks.get_mut(&tid).expect("current exists");
                     task.stats.cpu_time += dt;
                     task.resume = Resume::Done;
                 }
                 Op::Load(addr) | Op::Store(addr, _) => {
                     let write = matches!(op, Op::Store(..));
-                    let group = self.tasks[&tid].group;
-                    let mm = self.mms.get(&group).expect("task group has mm");
+                    let mm = mm.as_deref_mut().expect("task group has mm");
                     match mm.check_access(addr, write) {
                         AccessCheck::Ok => {
-                            t += self.mem_access;
-                            let task_resume;
-                            if let Op::Store(addr, val) = op {
-                                self.mms
-                                    .get_mut(&group)
-                                    .expect("checked above")
-                                    .write_word(addr, val);
-                                task_resume = Resume::Done;
+                            t += mem_access;
+                            task.resume = if let Op::Store(addr, val) = op {
+                                mm.write_word(addr, val);
+                                Resume::Done
                             } else {
-                                task_resume = Resume::Value(mm.read_word(addr));
-                            }
-                            let task = self.tasks.get_mut(&tid).expect("current exists");
-                            task.stats.cpu_time += self.mem_access;
-                            task.resume = task_resume;
+                                Resume::Value(mm.read_word(addr))
+                            };
+                            task.stats.cpu_time += mem_access;
                         }
                         AccessCheck::NeedPage { page, write } => {
-                            self.pending_ops.insert(tid, op);
-                            let task = self.tasks.get_mut(&tid).expect("current exists");
+                            task.pending = Some(op);
                             task.stats.faults += 1;
-                            self.stats.faults.incr();
-                            self.cores[ci].busy_until = t;
+                            stats.faults.incr();
+                            cs.busy_until = t;
                             return RunOutcome::Fault {
                                 tid,
                                 page,
@@ -506,11 +509,10 @@ impl Kernel {
                             // No local VMA. The OS model decides whether
                             // this is a segfault (SMP) or a VMA to fetch
                             // from the home kernel (replicated kernel).
-                            self.pending_ops.insert(tid, op);
-                            let task = self.tasks.get_mut(&tid).expect("current exists");
+                            task.pending = Some(op);
                             task.stats.faults += 1;
-                            self.stats.faults.incr();
-                            self.cores[ci].busy_until = t;
+                            stats.faults.incr();
+                            cs.busy_until = t;
                             return RunOutcome::Fault {
                                 tid,
                                 page: addr.page(),
@@ -522,9 +524,8 @@ impl Kernel {
                     }
                 }
                 Op::AtomicRmw(addr, rmw) => {
-                    let task = self.tasks.get_mut(&tid).expect("current exists");
                     task.state = TaskState::InSyscall;
-                    self.cores[ci].busy_until = t;
+                    cs.busy_until = t;
                     return RunOutcome::SyncOp {
                         tid,
                         addr,
@@ -533,31 +534,24 @@ impl Kernel {
                     };
                 }
                 Op::Syscall(req) => {
-                    t += self.params.syscall_entry();
-                    let task = self.tasks.get_mut(&tid).expect("current exists");
+                    t += params.syscall_entry();
                     task.state = TaskState::InSyscall;
                     task.stats.syscalls += 1;
-                    self.stats.syscalls.incr();
-                    self.cores[ci].busy_until = t;
+                    stats.syscalls.incr();
+                    cs.busy_until = t;
                     return RunOutcome::Syscall { tid, req, at: t };
                 }
                 Op::Exit(code) => {
-                    t += SimTime::from_nanos(self.params.exit_ns);
-                    return self.finish_exit(ci, tid, code, t);
+                    t += SimTime::from_nanos(params.exit_ns);
+                    task.state = TaskState::Exited(code);
+                    task.program = None;
+                    cs.current = None;
+                    cs.busy_until = t;
+                    stats.exited.incr();
+                    return RunOutcome::Exited { tid, code, at: t };
                 }
             }
         }
-    }
-
-    fn finish_exit(&mut self, ci: usize, tid: Tid, code: i32, at: SimTime) -> RunOutcome {
-        let task = self.tasks.get_mut(&tid).expect("exiting task exists");
-        task.state = TaskState::Exited(code);
-        task.program = None;
-        self.pending_ops.remove(&tid);
-        self.cores[ci].current = None;
-        self.cores[ci].busy_until = at;
-        self.stats.exited.incr();
-        RunOutcome::Exited { tid, code, at }
     }
 
     /// Completes a syscall handled by the OS model: the task resumes on its
@@ -647,12 +641,11 @@ impl Kernel {
             task.state
         );
         task.state = TaskState::Ready;
+        task.woke_at = Some(now);
         // A woken task resumes the retry of its pending op (if any) or its
         // stored resume value set by the waker.
         let core = task.core;
-        let cs = self.core_state_mut(core);
-        cs.runqueue.push_back(tid);
-        self.wake_stamp.insert(tid, now);
+        self.core_state_mut(core).runqueue.push_back(tid);
         core
     }
 
@@ -666,13 +659,13 @@ impl Kernel {
         );
         task.state = TaskState::Ready;
         task.resume = Resume::Sys(SysResult::Val(0));
+        task.woke_at = Some(now);
         let core = task.core;
         let cs = self.core_state_mut(core);
         assert_eq!(cs.current, Some(tid));
         cs.current = None;
         cs.runqueue.push_back(tid);
         cs.busy_until = cs.busy_until.max(now);
-        self.wake_stamp.insert(tid, now);
         core
     }
 
@@ -731,12 +724,12 @@ impl Kernel {
         task.stats.migrations += 1;
         let stats = task.stats;
         task.state = TaskState::MigratedAway { to };
+        let pending = task.pending.take();
         let core = task.core;
         let cs = self.core_state_mut(core);
         assert_eq!(cs.current, Some(tid));
         cs.current = None;
         cs.busy_until = cs.busy_until.max(now);
-        let pending = self.pending_ops.remove(&tid);
         (program, ctx, stats, pending)
     }
 
@@ -792,8 +785,8 @@ impl Kernel {
         let stats = task.stats;
         task.state = TaskState::MigratedAway { to };
         let resume = std::mem::replace(&mut task.resume, Resume::Start);
-        let pending = self.pending_ops.remove(&tid);
-        self.wake_stamp.remove(&tid);
+        let pending = task.pending.take();
+        task.woke_at = None;
         Some((program, ctx, stats, resume, pending))
     }
 
@@ -847,33 +840,30 @@ impl Kernel {
             self.has_mm(group),
             "migration before mm replica for {group}"
         );
-        if let Some(op) = pending {
-            self.pending_ops.insert(tid, op);
-        }
-        if let Some(task) = self.tasks.get_mut(&tid) {
-            assert!(task.is_shadow(), "{tid} exists here but is not a shadow");
-            task.program = Some(program);
-            task.ctx = ctx;
-            task.stats = stats;
-            task.state = TaskState::Ready;
-            task.resume = resume;
-            let core = task.core;
-            let cs = self.core_state_mut(core);
-            cs.runqueue.push_back(tid);
-            self.wake_stamp.insert(tid, now);
-            (core, true)
-        } else {
-            let core = self.least_loaded_core();
-            let mut task = Task::new(tid, group, program, core);
-            task.ctx = ctx;
-            task.stats = stats;
-            task.resume = resume;
-            self.tasks.insert(tid, task);
-            let cs = self.core_state_mut(core);
-            cs.runqueue.push_back(tid);
-            self.wake_stamp.insert(tid, now);
-            (core, false)
-        }
+        let (task, was_back) = match self.tasks.get_mut(&tid) {
+            Some(task) => {
+                assert!(task.is_shadow(), "{tid} exists here but is not a shadow");
+                task.program = Some(program);
+                task.state = TaskState::Ready;
+                (task, true)
+            }
+            None => {
+                let core = self.least_loaded_core();
+                let task = self
+                    .tasks
+                    .entry(tid)
+                    .or_insert(Task::new(tid, group, program, core));
+                (task, false)
+            }
+        };
+        task.ctx = ctx;
+        task.stats = stats;
+        task.resume = resume;
+        task.pending = pending;
+        task.woke_at = Some(now);
+        let core = task.core;
+        self.core_state_mut(core).runqueue.push_back(tid);
+        (core, was_back)
     }
 
     /// Kills the thread that is current on its core (segfault policy):
@@ -888,7 +878,7 @@ impl Kernel {
         let core = task.core;
         task.state = TaskState::Exited(code);
         task.program = None;
-        self.pending_ops.remove(&tid);
+        task.pending = None;
         let cs = self.core_state_mut(core);
         assert_eq!(cs.current, Some(tid), "force-exiting non-current task");
         cs.current = None;
@@ -914,8 +904,8 @@ impl Kernel {
         let was_queued = matches!(task.state, TaskState::Ready);
         task.state = TaskState::Exited(code);
         task.program = None;
-        self.pending_ops.remove(&tid);
-        self.wake_stamp.remove(&tid);
+        task.pending = None;
+        task.woke_at = None;
         self.stats.exited.incr();
         let cs = self.core_state_mut(core);
         if was_on_core {
@@ -950,8 +940,6 @@ impl Kernel {
                 "reaping live task {tid}"
             );
             self.tasks.remove(tid);
-            self.pending_ops.remove(tid);
-            self.wake_stamp.remove(tid);
         }
         doomed.len()
     }
@@ -1077,9 +1065,13 @@ mod tests {
     }
 
     fn kernel() -> Kernel {
+        kernel_id(0)
+    }
+
+    fn kernel_id(id: u16) -> Kernel {
         let machine = Machine::new(Topology::new(1, 2), HwParams::default());
         Kernel::new(
-            KernelId(0),
+            KernelId(id),
             vec![CoreId(0), CoreId(1)],
             OsParams::default(),
             machine,
@@ -1607,5 +1599,227 @@ mod tests {
         );
         assert!(k.blocked_tasks().is_empty(), "not blocked, just forgotten");
         assert_eq!(crate::osmodel::stuck_tasks(&[k]), vec![lost]);
+    }
+
+    /// Runs a `Toucher` on `k` into its first fault (a store to an absent
+    /// page), which parks the store as the task's pending op.
+    fn fault_toucher(k: &mut Kernel) -> (GroupId, Tid, VAddr, PageNo, SimTime) {
+        let g = group(k);
+        let addr = k.mm_mut(g).map_anon(4096).unwrap();
+        let tid = k.alloc_tid();
+        let core = k.spawn(
+            tid,
+            g,
+            Box::new(Toucher { addr, state: 0 }),
+            None,
+            SimTime::ZERO,
+        );
+        match k.run_core(SimTime::ZERO, core) {
+            RunOutcome::Fault {
+                page,
+                write: true,
+                at,
+                ..
+            } => {
+                assert!(matches!(k.task(tid).unwrap().pending, Some(Op::Store(..))));
+                (g, tid, addr, page, at)
+            }
+            other => panic!("expected write fault, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parked_op_travels_with_an_unscheduled_migration() {
+        let mut a = kernel_id(0);
+        let (g, tid, addr, page, at) = fault_toucher(&mut a);
+        a.block_current(tid, BlockReason::Remote("page"), at);
+        let (program, ctx, stats, resume, pending) = a
+            .extract_unscheduled_for_migration(tid, KernelId(1))
+            .expect("blocked on a remote op: movable");
+        assert!(matches!(pending, Some(Op::Store(s, 42)) if s == addr));
+        assert!(a.task(tid).unwrap().pending.is_none(), "shadow keeps no op");
+
+        let mut b = kernel_id(1);
+        let mut replica = a.mm(g).replica_layout();
+        replica.install_zero_page(page, crate::mm::PageState::Exclusive);
+        b.adopt_mm(replica);
+        let (core, was_back) =
+            b.attach_migrated_with(tid, g, program, ctx, stats, resume, pending, at);
+        assert!(!was_back);
+        // The store is retried before the program steps again: had it been
+        // dropped, the program's next op (the load) would read 0 and the
+        // `Toucher` would panic instead of exiting.
+        match b.run_core(at, core) {
+            RunOutcome::Exited { tid: t, code, .. } => assert_eq!((t, code), (tid, 0)),
+            other => panic!("expected exit, got {other:?}"),
+        }
+        assert_eq!(b.mm(g).read_word(addr), 42);
+        assert_eq!(b.stats.faults.get(), 0, "the retried store hit");
+    }
+
+    #[test]
+    fn revived_task_does_not_replay_a_stale_op() {
+        for force in [true, false] {
+            let mut k = kernel();
+            let (g, tid, _, _, at) = fault_toucher(&mut k);
+            if force {
+                k.force_exit_current(tid, 139, at);
+            } else {
+                assert_eq!(k.kill_task(tid, 9, at), Some(k.task(tid).unwrap().core));
+            }
+            assert!(k.task(tid).unwrap().pending.is_none());
+            assert_eq!(k.reap_group(g), 1);
+            // The same tid arrives again: it starts from its new program,
+            // not from the store its dead predecessor parked (a replayed
+            // store would fault on the still-absent page).
+            let (core, was_back) = k.attach_migrated(
+                tid,
+                g,
+                Box::new(Spin { chunks: 0 }),
+                Default::default(),
+                TaskStats::default(),
+                at,
+            );
+            assert!(!was_back);
+            match k.run_core(at, core) {
+                RunOutcome::Exited { tid: t, code, .. } => assert_eq!((t, code), (tid, 0)),
+                other => panic!("force={force}: expected exit, got {other:?}"),
+            }
+        }
+
+        // A shadow revived in place carries only what the attach hands it:
+        // the op that left with the thread is not replayed from the shadow.
+        let mut k = kernel();
+        let (g, tid, _, _, at) = fault_toucher(&mut k);
+        k.block_current(tid, BlockReason::Remote("page"), at);
+        let (program, ctx, stats, _, pending) = k
+            .extract_unscheduled_for_migration(tid, KernelId(1))
+            .unwrap();
+        assert!(pending.is_some());
+        let (core, was_back) = k.attach_migrated(tid, g, program, ctx, stats, at);
+        assert!(was_back);
+        match k.run_core(at, core) {
+            // The program's next op, the load, not the parked store.
+            RunOutcome::Fault { write, .. } => assert!(!write, "stale store replayed"),
+            other => panic!("expected the load's fault, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_dispatch_consumes_exactly_one_wake_stamp() {
+        /// Sleeps, yields and migrates (back to its own shadow) in turn.
+        #[derive(Debug)]
+        struct Restless {
+            step: u32,
+        }
+        impl Program for Restless {
+            fn step(&mut self, _r: Resume, _e: &ProgEnv) -> Op {
+                self.step += 1;
+                match self.step % 4 {
+                    _ if self.step > 12 => Op::Exit(0),
+                    0 => Op::Syscall(SyscallReq::Nanosleep { ns: 5_000 }),
+                    1 => Op::Syscall(SyscallReq::Yield),
+                    2 => Op::Syscall(SyscallReq::Migrate(crate::program::MigrateTarget::Kernel(
+                        KernelId(1),
+                    ))),
+                    _ => Op::Compute(24_000),
+                }
+            }
+        }
+
+        let mut k = kernel();
+        let g = group(&mut k);
+        // Two long spinners share core 0 (preemption); restless threads on
+        // both cores sleep/wake, yield and migrate; one thread arrives as
+        // a fresh migrated task.
+        for _ in 0..2 {
+            let t = k.alloc_tid();
+            k.spawn(
+                t,
+                g,
+                Box::new(Spin { chunks: 2_500 }),
+                Some(CoreId(0)),
+                SimTime::ZERO,
+            );
+        }
+        for c in [0, 1, 1] {
+            let t = k.alloc_tid();
+            k.spawn(
+                t,
+                g,
+                Box::new(Restless { step: 0 }),
+                Some(CoreId(c)),
+                SimTime::ZERO,
+            );
+        }
+        k.attach_migrated(
+            Tid::new(KernelId(3), 1),
+            g,
+            Box::new(Spin { chunks: 50 }),
+            Default::default(),
+            TaskStats::default(),
+            SimTime::ZERO,
+        );
+
+        let mut clock = [SimTime::ZERO; 2];
+        let mut sleepers: Vec<(SimTime, Tid)> = Vec::new();
+        let mut preemptions = 0;
+        let mut back_migrations = 0;
+        for _ in 0..1_000_000 {
+            let mut progress = false;
+            for (i, core) in [CoreId(0), CoreId(1)].into_iter().enumerate() {
+                let (kick, at) = match k.run_core(clock[i], core) {
+                    RunOutcome::Idle => continue,
+                    RunOutcome::Busy { until } => (core, until),
+                    RunOutcome::Preempted { at } => {
+                        preemptions += 1;
+                        (core, at)
+                    }
+                    RunOutcome::Exited { at, .. } => (core, at),
+                    RunOutcome::Syscall { tid, req, at } => match req {
+                        SyscallReq::Nanosleep { ns } => {
+                            sleepers.push((at + SimTime::from_nanos(ns), tid));
+                            (k.block_current(tid, BlockReason::Sleep, at), at)
+                        }
+                        SyscallReq::Yield => (k.yield_current(tid, at), at),
+                        SyscallReq::Migrate(_) => {
+                            let (program, ctx, stats, _) =
+                                k.extract_for_migration(tid, KernelId(1), at);
+                            let (kick, was_back) =
+                                k.attach_migrated(tid, g, program, ctx, stats, at);
+                            back_migrations += usize::from(was_back);
+                            (kick, at)
+                        }
+                        other => panic!("unexpected syscall {other:?}"),
+                    },
+                    other => panic!("unexpected {other:?}"),
+                };
+                let j = usize::from(kick.0);
+                clock[j] = clock[j].max(at);
+                progress = true;
+            }
+            if progress {
+                continue;
+            }
+            // Both cores idle: deliver the earliest timer.
+            sleepers.sort_unstable();
+            if sleepers.is_empty() {
+                break;
+            }
+            let (due, tid) = sleepers.remove(0);
+            k.task_mut(tid).unwrap().resume = Resume::Sys(SysResult::Val(0));
+            let j = usize::from(k.wake(tid, due).0);
+            clock[j] = clock[j].max(due);
+        }
+
+        assert_eq!(k.live_tasks(), 0, "test loop stalled");
+        assert!(preemptions >= 2, "spinners interleaved ({preemptions})");
+        assert_eq!(back_migrations, 9);
+        // Each restless thread is dispatched at spawn and after each of its
+        // three sleeps, yields and migrations; the spinners and the
+        // arrival once each, plus once more per preemption.
+        let switches = k.stats.ctx_switches.get();
+        assert_eq!(switches, 3 * 10 + 3 + preemptions);
+        assert_eq!(k.stats.sched_latency.count(), switches);
     }
 }

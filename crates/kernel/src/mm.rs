@@ -15,7 +15,9 @@
 //! carry data — letting the test suite verify *memory values*, not just
 //! protocol bookkeeping, survive migration.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use popcorn_sim::FastMap;
 
 use crate::types::{Errno, GroupId, PageNo, VAddr};
 
@@ -116,8 +118,8 @@ pub enum AccessCheck {
 pub struct Mm {
     group: GroupId,
     vmas: BTreeMap<u64, Vma>,
-    pages: HashMap<PageNo, PageInfo>,
-    words: HashMap<u64, u64>,
+    pages: FastMap<PageNo, PageInfo>,
+    words: FastMap<u64, u64>,
     next_map: u64,
     brk: u64,
 }
@@ -128,8 +130,8 @@ impl Mm {
         Mm {
             group,
             vmas: BTreeMap::new(),
-            pages: HashMap::new(),
-            words: HashMap::new(),
+            pages: FastMap::default(),
+            words: FastMap::default(),
             next_map: MMAP_BASE,
             brk: BRK_BASE,
         }
@@ -147,8 +149,8 @@ impl Mm {
         Mm {
             group: self.group,
             vmas: self.vmas.clone(),
-            pages: HashMap::new(),
-            words: HashMap::new(),
+            pages: FastMap::default(),
+            words: FastMap::default(),
             next_map: self.next_map,
             brk: self.brk,
         }

@@ -6,7 +6,7 @@ use popcorn_hw::CoreId;
 use popcorn_msg::KernelId;
 use popcorn_sim::SimTime;
 
-use crate::program::{Program, Resume};
+use crate::program::{Op, Program, Resume};
 use crate::types::{CpuContext, GroupId, Tid, VAddr};
 
 /// Why a task is off the run queue.
@@ -78,6 +78,13 @@ pub struct Task {
     pub core: CoreId,
     /// What to feed the program on its next step.
     pub resume: Resume,
+    /// An op the program already emitted that must be retried before the
+    /// program steps again: a faulted memory access, or the rest of a
+    /// compute chunk cut at the slice end.
+    pub pending: Option<Op>,
+    /// When the task last entered a run queue; taken at dispatch to record
+    /// scheduling latency.
+    pub woke_at: Option<SimTime>,
     /// Accounting.
     pub stats: TaskStats,
 }
@@ -93,6 +100,8 @@ impl Task {
             state: TaskState::Ready,
             core,
             resume: Resume::Start,
+            pending: None,
+            woke_at: None,
             stats: TaskStats::default(),
         }
     }
@@ -121,6 +130,7 @@ impl fmt::Debug for Task {
             .field("state", &self.state)
             .field("core", &self.core)
             .field("has_program", &self.program.is_some())
+            .field("pending", &self.pending)
             .field("stats", &self.stats)
             .finish()
     }

@@ -3,12 +3,10 @@
 //! contents coherent. Driven by the deterministic [`SimRng`] (the build is
 //! offline, so no external property-testing framework).
 
-use std::collections::HashMap;
-
 use popcorn_kernel::mm::{AccessCheck, Mm, PageState};
 use popcorn_kernel::types::{GroupId, Tid, VAddr};
 use popcorn_msg::KernelId;
-use popcorn_sim::SimRng;
+use popcorn_sim::{FastMap, SimRng};
 
 fn fresh() -> Mm {
     Mm::new(GroupId(Tid::new(KernelId(0), 1)))
@@ -66,7 +64,7 @@ fn mm_agrees_with_reference_model() {
         };
         let mut mm = fresh();
         let mut regions: Vec<(VAddr, u64)> = Vec::new(); // (start, len)
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut model: FastMap<u64, u64> = FastMap::default();
 
         for a in actions {
             match a {
@@ -144,7 +142,7 @@ fn mm_agrees_with_reference_model() {
 fn page_transfer_roundtrip_is_lossless() {
     let mut rng = SimRng::new(0x5EED_1002);
     for _ in 0..256 {
-        let mut words: HashMap<u64, u64> = HashMap::new();
+        let mut words: FastMap<u64, u64> = FastMap::default();
         for _ in 0..rng.range_u64(0, 64) {
             words.insert(rng.range_u64(0, 512), rng.next_u64());
         }

@@ -110,8 +110,8 @@ struct Stashed<P> {
 
 /// Sequence-number and retransmit state, allocated only under active fault
 /// injection (see module docs). All maps are ordered: nothing iterates
-/// them today, but a `HashMap` here would be a latent nondeterminism
-/// hazard for any future code that does.
+/// them today, but a hash map's arbitrary order would be a latent hazard
+/// for any future code that does.
 #[derive(Debug)]
 struct SeqState<P> {
     /// Next sequence number per directed channel `(sender, receiver)`.

@@ -1,11 +1,10 @@
 //! The message fabric: per-ordered-pair FIFO channels between kernels.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use popcorn_hw::{CoreId, Machine};
 use popcorn_sim::stats::Summary;
-use popcorn_sim::{Counter, Histogram, SimTime};
+use popcorn_sim::{Counter, FastMap, Histogram, SimTime};
 
 use crate::fault::{Crash, FaultCounters, FaultRuntime, Verdict};
 use crate::params::MsgParams;
@@ -152,7 +151,7 @@ pub struct Fabric {
     min_hop: SimTime,
     /// IPI notification latency (or expected polling delay).
     notify: SimTime,
-    channels: HashMap<(KernelId, KernelId), Channel>,
+    channels: FastMap<(KernelId, KernelId), Channel>,
     total_sends: Counter,
     latency_hist: Histogram,
     /// Present iff the fault plan is active.
@@ -204,7 +203,7 @@ impl Fabric {
             hop,
             min_hop,
             notify,
-            channels: HashMap::new(),
+            channels: FastMap::default(),
             total_sends: Counter::new(),
             latency_hist: Histogram::new(),
             faults,

@@ -7,10 +7,9 @@
 //! matching and cancellation — so protocol logic stays in the protocol
 //! crates.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use popcorn_sim::SimTime;
+use popcorn_sim::{FastMap, SimTime};
 
 /// Correlation identifier carried inside request/response payloads. Unique
 /// per [`RpcTable`] (i.e. per kernel), never reused within a run.
@@ -40,10 +39,10 @@ impl fmt::Display for RpcId {
 #[derive(Debug, Clone)]
 pub struct RpcTable<C> {
     next: u64,
-    pending: HashMap<RpcId, C>,
+    pending: FastMap<RpcId, C>,
     /// Response deadlines for requests registered with one; entries are
     /// removed when the request completes (or is drained).
-    deadlines: HashMap<RpcId, SimTime>,
+    deadlines: FastMap<RpcId, SimTime>,
 }
 
 impl<C> Default for RpcTable<C> {
@@ -57,8 +56,8 @@ impl<C> RpcTable<C> {
     pub fn new() -> Self {
         RpcTable {
             next: 1,
-            pending: HashMap::new(),
-            deadlines: HashMap::new(),
+            pending: FastMap::default(),
+            deadlines: FastMap::default(),
         }
     }
 

@@ -42,6 +42,7 @@
 //! ```
 
 pub mod engine;
+pub mod hash;
 pub mod parallel;
 pub mod queue;
 pub mod rng;
@@ -51,6 +52,7 @@ pub mod time;
 pub use engine::{
     current_event_sink, with_event_sink, Handler, Scheduler, Simulator, StopCondition,
 };
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use parallel::{
     current_parallel_meter, effective_sim_threads, run_partitioned, set_sim_threads, sim_threads,
     with_parallel_meter, ParallelMeter, ParallelOutcome, Partition,
