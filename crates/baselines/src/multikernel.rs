@@ -439,10 +439,8 @@ impl OsMachine for MultikernelMachine {
                     Ok(dropped) => {
                         if !dropped.is_empty() {
                             // Shootdown confined to this kernel's cores.
-                            let cores = self.kernels[ki].cores();
-                            let targets: Vec<CoreId> =
-                                cores.into_iter().filter(|&c| c != core).collect();
-                            let sd = self.machine.shootdown().tlb_shootdown(&targets);
+                            let others = self.kernels[ki].num_cores() - 1;
+                            let sd = self.machine.shootdown().tlb_shootdown(others);
                             done += sd.initiator_busy;
                         }
                         SysResult::Val(0)

@@ -234,10 +234,8 @@ impl OsMachine for SmpMachine {
                         if !dropped.is_empty() {
                             // SMP pays a machine-wide shootdown: any core
                             // may have cached these translations.
-                            let all = self.machine.topology().num_cores();
-                            let targets: Vec<CoreId> =
-                                (0..all).map(CoreId).filter(|&c| c != core).collect();
-                            let sd = self.machine.shootdown().tlb_shootdown(&targets);
+                            let others = self.machine.topology().num_cores() as usize - 1;
+                            let sd = self.machine.shootdown().tlb_shootdown(others);
                             done += sd.initiator_busy;
                             // Freeing the pages takes the global zone lock.
                             let free_hold = SimTime::from_nanos(

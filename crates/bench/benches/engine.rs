@@ -10,8 +10,9 @@ use popcorn_kernel::kernel::{Kernel, RunOutcome};
 use popcorn_kernel::mm::{Mm, PageState};
 use popcorn_kernel::params::OsParams;
 use popcorn_kernel::program::{Op, ProgEnv, Program, Resume};
-use popcorn_kernel::types::{GroupId, VAddr};
+use popcorn_kernel::types::{GroupId, PageNo, Tid, VAddr};
 use popcorn_msg::KernelId;
+use popcorn_sim::queue::RING_WINDOW_NS;
 use popcorn_sim::{
     run_partitioned, Handler, Histogram, Partition, Scheduler, SimRng, SimTime, Simulator,
 };
@@ -88,7 +89,7 @@ impl Handler<Ev> for NearFarChain {
         let Ev::Tick(n) = ev;
         if self.remaining > 0 {
             self.remaining -= 1;
-            let delay = if n % 2 == 0 { 3 } else { 50_000 };
+            let delay = if n % 2 == 0 { 3 } else { 6 * RING_WINDOW_NS };
             sched.after(SimTime::from_nanos(delay), Ev::Tick(n + 1));
         }
     }
@@ -126,9 +127,11 @@ fn bench_queue_regimes(c: &mut Criterion) {
     c.bench_function("engine/mixed_near_far_100k", |b| {
         b.iter(|| {
             let mut sim = Simulator::new();
-            // A standing population in both tiers while the chain runs.
+            // A standing population in both tiers while the chain runs:
+            // 64 events spread over ~8 ring windows.
             for i in 0..64u32 {
-                sim.schedule(SimTime::from_nanos(i as u64 * 1_009), Ev::Tick(i));
+                let at = i as u64 * (RING_WINDOW_NS / 8 + 1);
+                sim.schedule(SimTime::from_nanos(at), Ev::Tick(i));
             }
             sim.schedule(SimTime::ZERO, Ev::Tick(0));
             let mut h = NearFarChain { remaining: 100_000 };
@@ -396,6 +399,47 @@ fn bench_run_core(c: &mut Criterion) {
     g.finish();
 }
 
+/// One page transfer between two address-space replicas — `evict_page`
+/// at the holder, `install_page` at the other, alternating direction —
+/// with `others` further written pages resident in each. A transfer
+/// touches only the page it names, so ns/op stays flat as `others` grows.
+fn bench_mm_transfer(c: &mut Criterion) {
+    let mut g = c.benchmark_group("mm");
+    for others in [16u64, 1_024] {
+        let mut a = Mm::new(GroupId(Tid::new(KernelId(0), 1)));
+        let base = a.map_anon((others + 1) * VAddr::PAGE_SIZE).expect("map");
+        let mut b = a.replica_layout();
+        let hot = base.page();
+        a.install_zero_page(hot, PageState::Exclusive);
+        for w in 0..8 {
+            a.write_word(base.add(w * 8), w + 1);
+        }
+        for mm in [&mut a, &mut b] {
+            for p in 1..=others {
+                let page = PageNo(hot.0 + p);
+                mm.install_zero_page(page, PageState::ReadShared);
+                mm.write_word(page.base(), p);
+                mm.write_word(page.base().add(64), p + 1);
+            }
+        }
+        let mut at_a = true;
+        g.bench_function(format!("evict_install_1page_{others}_resident"), |bch| {
+            bch.iter(|| {
+                let (from, to) = if at_a {
+                    (&mut a, &mut b)
+                } else {
+                    (&mut b, &mut a)
+                };
+                let contents = from.evict_page(hot);
+                to.install_page(hot, PageState::Exclusive, contents);
+                at_a = !at_a;
+                black_box(to.resident_pages())
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_event_loop,
@@ -404,6 +448,7 @@ criterion_group!(
     bench_histogram,
     bench_lock_sites,
     bench_epoch_scheduler,
-    bench_run_core
+    bench_run_core,
+    bench_mm_transfer
 );
 criterion_main!(benches);

@@ -585,7 +585,7 @@ mod tests {
     fn data() -> PageContents {
         PageContents {
             version: 0,
-            words: vec![(P.base().0, 7)],
+            words: vec![(P.base().0, 7)].into(),
         }
     }
 

@@ -81,7 +81,7 @@ use popcorn_kernel::program::{Program, Resume, SysResult, SyscallReq};
 use popcorn_kernel::task::BlockReason;
 use popcorn_kernel::types::{Errno, GroupId, PageNo, Tid, VAddr};
 use popcorn_msg::{Delivery, Endpoint, Fabric, KernelId, ReliableFabric};
-use popcorn_sim::{Histogram, Scheduler, SimTime, TimeSeries};
+use popcorn_sim::{Histogram, Scheduler, SimTime, TimeWeightedMean};
 
 use crate::directory::PageRequest;
 use crate::group::GroupHome;
@@ -141,10 +141,10 @@ pub struct Server {
     backlog: Vec<SimTime>,
     /// Queue depth observed by each arriving request (itself included).
     depth_hist: Histogram,
-    /// Depth sampled at each request's service start. Starts are
-    /// monotonic (`start >= previous done`), satisfying the series'
-    /// time-order contract.
-    depth_series: TimeSeries,
+    /// Time-weighted mean of the depth sampled at each request's service
+    /// start. Starts are monotonic (`start >= previous done`), satisfying
+    /// the accumulator's time-order contract.
+    depth_mean: TimeWeightedMean,
     peak_depth: u64,
     busy_ns: u64,
 }
@@ -157,7 +157,7 @@ impl Default for Server {
             // Queue depths are small integers; 16 bucket groups cover
             // depths to ~2^19 without the full histogram's footprint.
             depth_hist: Histogram::with_groups(16),
-            depth_series: TimeSeries::new(),
+            depth_mean: TimeWeightedMean::new(),
             peak_depth: 0,
             busy_ns: 0,
         }
@@ -175,7 +175,7 @@ impl Server {
         let depth = self.backlog.len() as u64;
         self.peak_depth = self.peak_depth.max(depth);
         self.depth_hist.record(depth);
-        self.depth_series.push(start, depth as f64);
+        self.depth_mean.push(start, depth as f64);
         self.busy_ns += cost.as_nanos();
         self.free_at = done;
         done
@@ -191,11 +191,6 @@ impl Server {
         &self.depth_hist
     }
 
-    /// Queue depth over virtual time, sampled at service starts.
-    pub fn depth_series(&self) -> &TimeSeries {
-        &self.depth_series
-    }
-
     /// Total virtual nanoseconds spent serving requests.
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns
@@ -208,7 +203,7 @@ impl Server {
         agg.note_server(
             self.peak_depth,
             &self.depth_hist,
-            self.depth_series.time_weighted_mean(),
+            self.depth_mean.time_weighted_mean(),
             self.busy_ns,
         );
     }

@@ -252,7 +252,6 @@ impl KernelCtx<'_, '_> {
         at: SimTime,
     ) {
         if self.kernels[ki].has_mm(group) {
-            let had_data = contents.is_some();
             self.kernels[ki]
                 .mm_mut(group)
                 .apply_grant(page, state, version, contents);
@@ -285,7 +284,6 @@ impl KernelCtx<'_, '_> {
                     self.stats.faults_remote_read.incr();
                     self.stats.fault_remote_read_lat.record_time(lat);
                 }
-                let _ = had_data;
                 for (tid, _) in waiters {
                     if self.task_alive(ki, tid) {
                         let core = self.kernels[ki].wake(tid, done);
@@ -665,8 +663,10 @@ impl KernelCtx<'_, '_> {
     ) {
         let contents = self.evict_local(ki, group, page);
         let cost = SimTime::from_nanos(self.params.page_inval_service_ns);
-        let cores = self.kernels[ki].cores();
-        let sd = self.machine.shootdown().tlb_shootdown(&cores[1..]);
+        // IPI every other core of this kernel; a one-core kernel only
+        // invalidates locally.
+        let others = self.kernels[ki].num_cores() - 1;
+        let sd = self.machine.shootdown().tlb_shootdown(others);
         let done = self.serve_page(group, from, now, cost + sd.initiator_busy);
         self.send(
             done,

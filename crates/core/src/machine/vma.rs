@@ -174,8 +174,8 @@ impl KernelCtx<'_, '_> {
                         // Local TLB shootdown across the home's cores —
                         // outside the serialized section (as on SMP, where
                         // the flush happens after mmap_sem is dropped).
-                        let cores = self.kernels[home_ki].cores();
-                        let sd = self.machine.shootdown().tlb_shootdown(&cores[1..]);
+                        let others = self.kernels[home_ki].num_cores() - 1;
+                        let sd = self.machine.shootdown().tlb_shootdown(others);
                         let done = done + sd.initiator_busy;
                         let remotes = h.remote_replicas();
                         let (token, complete) = h.begin_unmap(rpc, origin, remotes.clone());
@@ -297,8 +297,8 @@ impl KernelCtx<'_, '_> {
                 VmaChange::Unmap { addr, len } => {
                     let dropped = self.kernels[ki].mm_mut(group).remove_vma(addr, len);
                     if !dropped.is_empty() {
-                        let cores = self.kernels[ki].cores();
-                        let sd = self.machine.shootdown().tlb_shootdown(&cores[1..]);
+                        let others = self.kernels[ki].num_cores() - 1;
+                        let sd = self.machine.shootdown().tlb_shootdown(others);
                         self.serve_vma(group, now, sd.initiator_busy);
                     }
                 }

@@ -9,7 +9,6 @@
 use popcorn_sim::SimTime;
 
 use crate::params::HwParams;
-use crate::topo::CoreId;
 
 /// Cost breakdown of one TLB shootdown round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,11 +24,11 @@ pub struct ShootdownCost {
 /// # Example
 ///
 /// ```
-/// use popcorn_hw::{ShootdownModel, HwParams, CoreId};
+/// use popcorn_hw::{ShootdownModel, HwParams};
 ///
 /// let m = ShootdownModel::new(&HwParams::default());
-/// let few = m.tlb_shootdown(&[CoreId(1)]);
-/// let many = m.tlb_shootdown(&[CoreId(1), CoreId(2), CoreId(3)]);
+/// let few = m.tlb_shootdown(1);
+/// let many = m.tlb_shootdown(3);
 /// assert!(many.initiator_busy > few.initiator_busy);
 /// ```
 #[derive(Debug, Clone)]
@@ -69,18 +68,19 @@ impl ShootdownModel {
         self.base + self.local_invalidate
     }
 
-    /// A full shootdown: invalidate locally, IPI every target, wait for all
-    /// acks. Targets run their handlers in parallel, so initiator wall time
-    /// grows with target *count* only through send overhead, plus one
-    /// round-trip.
-    pub fn tlb_shootdown(&self, targets: &[CoreId]) -> ShootdownCost {
-        if targets.is_empty() {
+    /// A full shootdown: invalidate locally, IPI each of `targets` other
+    /// cores, wait for all acks. Targets run their handlers in parallel, so
+    /// initiator wall time grows with target *count* only through send
+    /// overhead, plus one round-trip. With no targets it is a local-only
+    /// invalidation.
+    pub fn tlb_shootdown(&self, targets: usize) -> ShootdownCost {
+        if targets == 0 {
             return ShootdownCost {
                 initiator_busy: self.local_invalidate(),
                 target_busy: SimTime::ZERO,
             };
         }
-        let sends = self.per_target_send * targets.len() as u64;
+        let sends = self.per_target_send * targets as u64;
         let target_busy = self.ipi_handler + self.local_invalidate;
         // Round trip: deliver, flush, ack flight back.
         let round_trip = self.ipi_latency + target_busy + self.ipi_latency;
@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn empty_target_set_is_local_only() {
         let m = model();
-        let c = m.tlb_shootdown(&[]);
+        let c = m.tlb_shootdown(0);
         assert_eq!(c.initiator_busy, m.local_invalidate());
         assert_eq!(c.target_busy, SimTime::ZERO);
     }
@@ -110,10 +110,8 @@ mod tests {
     #[test]
     fn cost_grows_with_target_count() {
         let m = model();
-        let one = m.tlb_shootdown(&[CoreId(1)]).initiator_busy;
-        let four = m
-            .tlb_shootdown(&[CoreId(1), CoreId(2), CoreId(3), CoreId(4)])
-            .initiator_busy;
+        let one = m.tlb_shootdown(1).initiator_busy;
+        let four = m.tlb_shootdown(4).initiator_busy;
         assert!(four > one);
         // But sub-linearly: handlers run in parallel, so 4 targets cost far
         // less than 4× one target.
@@ -123,7 +121,7 @@ mod tests {
     #[test]
     fn remote_shootdown_dwarfs_local() {
         let m = model();
-        let remote = m.tlb_shootdown(&[CoreId(1)]).initiator_busy;
+        let remote = m.tlb_shootdown(1).initiator_busy;
         assert!(remote.as_nanos() > 3 * m.local_invalidate().as_nanos());
     }
 
@@ -131,7 +129,7 @@ mod tests {
     fn target_busy_is_handler_plus_flush() {
         let m = model();
         let p = HwParams::default();
-        let c = m.tlb_shootdown(&[CoreId(1)]);
+        let c = m.tlb_shootdown(1);
         assert_eq!(
             c.target_busy.as_nanos(),
             p.ipi_handler_ns + p.tlb_invalidate_local_ns

@@ -196,6 +196,11 @@ impl Kernel {
         self.cores.iter().map(|c| c.id).collect()
     }
 
+    /// Number of cores this kernel owns (at least one).
+    pub fn num_cores(&self) -> usize {
+        self.cores.len()
+    }
+
     /// The configured software-cost parameters.
     pub fn params(&self) -> &OsParams {
         &self.params

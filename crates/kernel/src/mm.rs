@@ -11,9 +11,10 @@
 //!   (ownership upgrade);
 //! - [`PageState::Exclusive`] — the sole writable copy.
 //!
-//! Word contents are stored sparsely so that page transfers can actually
-//! carry data — letting the test suite verify *memory values*, not just
-//! protocol bookkeeping, survive migration.
+//! Word contents are stored sparsely, per page, so that page transfers can
+//! actually carry data — letting the test suite verify *memory values*, not
+//! just protocol bookkeeping, survive migration — and so that a transfer,
+//! eviction or unmap touches only the pages it names.
 
 use std::collections::BTreeMap;
 
@@ -47,13 +48,140 @@ pub struct PageInfo {
     pub version: u64,
 }
 
+/// The non-zero words of one page, as `(address, value)` in ascending
+/// address order.
+///
+/// A page with at most one written word — the common case for demand-paged
+/// anonymous memory, which is touched once and unmapped — is stored inline
+/// without a heap allocation; a second distinct word spills to a sorted
+/// `Vec`. Equality compares contents, not representation.
+///
+/// # Example
+///
+/// ```
+/// use popcorn_kernel::mm::PageWords;
+///
+/// // Built from unordered writes: the last write to an address wins and
+/// // zero writes clear it, as on the page itself.
+/// let w = PageWords::from(vec![(0x1010, 2), (0x1000, 1), (0x1010, 3), (0x1008, 0)]);
+/// assert_eq!(w.as_slice(), &[(0x1000, 1), (0x1010, 3)]);
+/// assert_eq!(w.get(0x1010), 3);
+/// assert_eq!(w.get(0x1008), 0);
+/// ```
+#[derive(Clone, Default)]
+pub struct PageWords(WordsRepr);
+
+#[derive(Clone, Default)]
+enum WordsRepr {
+    #[default]
+    Empty,
+    One((u64, u64)),
+    Many(Vec<(u64, u64)>),
+}
+
+impl PageWords {
+    /// The words in ascending address order.
+    pub fn as_slice(&self) -> &[(u64, u64)] {
+        match &self.0 {
+            WordsRepr::Empty => &[],
+            WordsRepr::One(w) => std::slice::from_ref(w),
+            WordsRepr::Many(v) => v,
+        }
+    }
+
+    /// True when every word of the page is zero.
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// The word at `addr` (0 if never written or last written 0).
+    pub fn get(&self, addr: u64) -> u64 {
+        let ws = self.as_slice();
+        ws.binary_search_by_key(&addr, |&(a, _)| a)
+            .map_or(0, |i| ws[i].1)
+    }
+
+    /// Writes the word at `addr`; writing 0 removes it.
+    pub fn set(&mut self, addr: u64, value: u64) {
+        match &mut self.0 {
+            WordsRepr::Empty => {
+                if value != 0 {
+                    self.0 = WordsRepr::One((addr, value));
+                }
+            }
+            WordsRepr::One((a, v)) if *a == addr => {
+                if value == 0 {
+                    self.0 = WordsRepr::Empty;
+                } else {
+                    *v = value;
+                }
+            }
+            WordsRepr::One(w) => {
+                if value != 0 {
+                    let ws = if addr < w.0 {
+                        vec![(addr, value), *w]
+                    } else {
+                        vec![*w, (addr, value)]
+                    };
+                    self.0 = WordsRepr::Many(ws);
+                }
+            }
+            WordsRepr::Many(ws) => match ws.binary_search_by_key(&addr, |&(a, _)| a) {
+                Ok(i) if value == 0 => {
+                    ws.remove(i);
+                }
+                Ok(i) => ws[i].1 = value,
+                Err(i) if value != 0 => ws.insert(i, (addr, value)),
+                Err(_) => {}
+            },
+        }
+    }
+}
+
+impl From<Vec<(u64, u64)>> for PageWords {
+    /// Builds a page from `(address, value)` writes in any order, applied
+    /// in sequence: the last write to an address wins and zero values
+    /// clear it.
+    fn from(mut writes: Vec<(u64, u64)>) -> Self {
+        // Stable, so writes to one address keep their order; keep the last.
+        writes.sort_by_key(|&(a, _)| a);
+        let mut words: Vec<(u64, u64)> = Vec::with_capacity(writes.len());
+        for w in writes {
+            match words.last_mut() {
+                Some(last) if last.0 == w.0 => *last = w,
+                _ => words.push(w),
+            }
+        }
+        words.retain(|&(_, v)| v != 0);
+        PageWords(match words.len() {
+            0 => WordsRepr::Empty,
+            1 => WordsRepr::One(words[0]),
+            _ => WordsRepr::Many(words),
+        })
+    }
+}
+
+impl PartialEq for PageWords {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for PageWords {}
+
+impl std::fmt::Debug for PageWords {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 /// Contents extracted from an evicted/transferred page.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PageContents {
     /// Version at extraction.
     pub version: u64,
-    /// Non-zero words within the page, as `(address, value)`.
-    pub words: Vec<(u64, u64)>,
+    /// Non-zero words within the page.
+    pub words: PageWords,
 }
 
 /// One mapped region (anonymous memory; the only kind the workloads need).
@@ -119,7 +247,9 @@ pub struct Mm {
     group: GroupId,
     vmas: BTreeMap<u64, Vma>,
     pages: FastMap<PageNo, PageInfo>,
-    words: FastMap<u64, u64>,
+    /// Non-zero words per page. Pages whose words are all zero have no
+    /// entry.
+    words: FastMap<PageNo, PageWords>,
     next_map: u64,
     brk: u64,
 }
@@ -242,9 +372,7 @@ impl Mm {
                 if self.pages.remove(&page).is_some() {
                     dropped.push(page);
                 }
-                let base = page.base().0;
-                self.words
-                    .retain(|&a, _| !(base..base + VAddr::PAGE_SIZE).contains(&a));
+                self.words.remove(&page);
             }
         }
         Ok(dropped)
@@ -319,12 +447,18 @@ impl Mm {
                 version: contents.version,
             },
         );
-        let base = page.base().0;
-        self.words
-            .retain(|&a, _| !(base..base + VAddr::PAGE_SIZE).contains(&a));
-        for (a, v) in contents.words {
-            debug_assert_eq!(VAddr(a).page(), page, "word outside page");
-            self.words.insert(a, v);
+        debug_assert!(
+            contents
+                .words
+                .as_slice()
+                .iter()
+                .all(|&(a, _)| VAddr(a).page() == page),
+            "word outside page"
+        );
+        if contents.words.is_empty() {
+            self.words.remove(&page);
+        } else {
+            self.words.insert(page, contents.words);
         }
     }
 
@@ -365,17 +499,9 @@ impl Mm {
             .pages
             .get(&page)
             .unwrap_or_else(|| panic!("{page} not resident"));
-        let base = page.base().0;
-        let mut words: Vec<(u64, u64)> = self
-            .words
-            .iter()
-            .filter(|&(&a, _)| (base..base + VAddr::PAGE_SIZE).contains(&a))
-            .map(|(&a, &v)| (a, v))
-            .collect();
-        words.sort_unstable();
         PageContents {
             version: info.version,
-            words,
+            words: self.words.get(&page).cloned().unwrap_or_default(),
         }
     }
 
@@ -385,12 +511,14 @@ impl Mm {
     ///
     /// Panics if the page is not resident.
     pub fn evict_page(&mut self, page: PageNo) -> PageContents {
-        let contents = self.snapshot_page(page);
-        self.pages.remove(&page);
-        let base = page.base().0;
-        self.words
-            .retain(|&a, _| !(base..base + VAddr::PAGE_SIZE).contains(&a));
-        contents
+        let info = self
+            .pages
+            .remove(&page)
+            .unwrap_or_else(|| panic!("{page} not resident"));
+        PageContents {
+            version: info.version,
+            words: self.words.remove(&page).unwrap_or_default(),
+        }
     }
 
     /// Applies a consistency-protocol grant: installs the page with the
@@ -428,15 +556,19 @@ impl Mm {
     /// Reads a word (0 for never-written addresses — zero-fill semantics).
     /// The caller must have established access rights first.
     pub fn read_word(&self, addr: VAddr) -> u64 {
-        self.words.get(&addr.0).copied().unwrap_or(0)
+        self.words.get(&addr.page()).map_or(0, |w| w.get(addr.0))
     }
 
     /// Writes a word. The caller must have established write rights first.
     pub fn write_word(&mut self, addr: VAddr, value: u64) {
-        if value == 0 {
-            self.words.remove(&addr.0);
-        } else {
-            self.words.insert(addr.0, value);
+        let page = addr.page();
+        if value != 0 {
+            self.words.entry(page).or_default().set(addr.0, value);
+        } else if let Some(w) = self.words.get_mut(&page) {
+            w.set(addr.0, 0);
+            if w.is_empty() {
+                self.words.remove(&page);
+            }
         }
     }
 }
@@ -641,9 +773,51 @@ mod tests {
         m.install_zero_page(a.page(), PageState::Exclusive);
         m.write_word(a, 3);
         let snap = m.snapshot_page(a.page());
-        assert_eq!(snap.words, vec![(a.0, 3)]);
+        assert_eq!(snap.words.as_slice(), &[(a.0, 3)]);
         assert_eq!(m.resident_pages(), 1);
         assert_eq!(m.read_word(a), 3);
+    }
+
+    #[test]
+    fn page_words_spill_and_collapse_keep_address_order() {
+        let mut w = PageWords::default();
+        assert!(w.is_empty());
+        w.set(0x1010, 5);
+        assert!(matches!(w.0, WordsRepr::One(_)), "one word stays inline");
+        w.set(0x1008, 4);
+        w.set(0x1018, 6);
+        w.set(0x1010, 7);
+        assert_eq!(w.as_slice(), &[(0x1008, 4), (0x1010, 7), (0x1018, 6)]);
+        assert_eq!(w.get(0x1010), 7);
+        assert_eq!(w.get(0x1000), 0);
+        w.set(0x1008, 0);
+        w.set(0x1018, 0);
+        w.set(0x1020, 0);
+        assert_eq!(w.as_slice().len(), 1);
+        // Same contents, different representation: still equal.
+        assert_eq!(w, PageWords::from(vec![(0x1010, 7)]));
+        w.set(0x1010, 0);
+        assert_eq!(w, PageWords::default());
+    }
+
+    #[test]
+    fn words_only_move_with_their_own_page() {
+        let mut m = mm();
+        let a = m.map_anon(3 * 4096).unwrap();
+        for i in 0..3 {
+            let p = a.add(i * 4096);
+            m.install_zero_page(p.page(), PageState::Exclusive);
+            m.write_word(p, i + 1);
+            m.write_word(p.add(8), 10 * (i + 1));
+        }
+        let mid = a.add(4096);
+        assert_eq!(
+            m.evict_page(mid.page()).words.as_slice(),
+            &[(mid.0, 2), (mid.0 + 8, 20)]
+        );
+        assert_eq!(m.read_word(mid), 0);
+        assert_eq!(m.read_word(a), 1);
+        assert_eq!(m.read_word(a.add(2 * 4096 + 8)), 30);
     }
 
     #[test]

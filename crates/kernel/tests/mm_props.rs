@@ -3,8 +3,8 @@
 //! contents coherent. Driven by the deterministic [`SimRng`] (the build is
 //! offline, so no external property-testing framework).
 
-use popcorn_kernel::mm::{AccessCheck, Mm, PageState};
-use popcorn_kernel::types::{GroupId, Tid, VAddr};
+use popcorn_kernel::mm::{AccessCheck, Mm, PageContents, PageState, Vma};
+use popcorn_kernel::types::{GroupId, PageNo, Tid, VAddr};
 use popcorn_msg::KernelId;
 use popcorn_sim::{FastMap, SimRng};
 
@@ -195,5 +195,135 @@ fn replica_cursors_never_collide() {
                 assert!(s1 + l1 <= s2 || s2 + l2 <= s1);
             }
         }
+    }
+}
+
+/// The words of `page` in a flat reference map, as a snapshot must list
+/// them: non-zero only, ascending by address.
+fn reference_page(model: &FastMap<u64, u64>, page: PageNo) -> Vec<(u64, u64)> {
+    let base = page.base().0;
+    let mut words: Vec<(u64, u64)> = model
+        .iter()
+        .filter(|&(&a, &v)| v != 0 && (base..base + VAddr::PAGE_SIZE).contains(&a))
+        .map(|(&a, &v)| (a, v))
+        .collect();
+    words.sort_unstable();
+    words
+}
+
+/// Random word writes (zeros included) interleaved with snapshots, page
+/// transfers between two `Mm`s and unmaps agree with one flat reference
+/// map: every read matches it, and every snapshot or transferred page holds
+/// exactly the page's non-zero words in ascending address order.
+#[test]
+fn per_page_word_storage_agrees_with_flat_reference() {
+    const PAGES: u64 = 6;
+    let mut rng = SimRng::new(0x5EED_1004);
+    for _ in 0..128 {
+        let mut mms = [fresh(), fresh()];
+        let base = mms[0].map_anon(PAGES * VAddr::PAGE_SIZE).unwrap();
+        mms[1] = mms[0].replica_layout();
+        // Which Mm currently holds each page; every page starts at mm 0.
+        let mut holder = [0usize; PAGES as usize];
+        for p in 0..PAGES {
+            mms[0].install_zero_page(PageNo(base.page().0 + p), PageState::Exclusive);
+        }
+        let mut model: FastMap<u64, u64> = FastMap::default();
+        for _ in 0..rng.range_u64(1, 400) {
+            let p = rng.range_u64(0, PAGES);
+            let page = PageNo(base.page().0 + p);
+            let owner = &mut mms[holder[p as usize]];
+            match rng.index(8) {
+                // Writes to a few hot slots, so overwrites and zeroing of
+                // written words are common.
+                0..=3 => {
+                    let addr = VAddr(page.base().0 + rng.range_u64(0, 24) * 8);
+                    let value = if rng.index(4) == 0 { 0 } else { rng.next_u64() };
+                    owner.write_word(addr, value);
+                    model.insert(addr.0, value);
+                }
+                4 => {
+                    let addr = VAddr(page.base().0 + rng.range_u64(0, 24) * 8);
+                    let want = model.get(&addr.0).copied().unwrap_or(0);
+                    assert_eq!(owner.read_word(addr), want);
+                }
+                5 => {
+                    let snap = owner.snapshot_page(page);
+                    assert_eq!(snap.words.as_slice(), reference_page(&model, page));
+                }
+                // Transfer the page to the other Mm.
+                6 => {
+                    let contents = owner.evict_page(page);
+                    assert_eq!(contents.words.as_slice(), reference_page(&model, page));
+                    let to = 1 - holder[p as usize];
+                    mms[to].install_page(page, PageState::Exclusive, contents);
+                    holder[p as usize] = to;
+                }
+                // Every other page is untouched by a transfer.
+                _ => {
+                    for q in 0..PAGES {
+                        let page = PageNo(base.page().0 + q);
+                        let snap = mms[holder[q as usize]].snapshot_page(page);
+                        assert_eq!(snap.words.as_slice(), reference_page(&model, page));
+                    }
+                }
+            }
+        }
+        // Unmapping drops every page's words; a fresh mapping of the same
+        // range reads zero.
+        for m in &mut mms {
+            m.unmap(base, PAGES * VAddr::PAGE_SIZE).unwrap();
+            m.install_vma(Vma {
+                start: base,
+                len: PAGES * VAddr::PAGE_SIZE,
+            });
+        }
+        for (&a, _) in model.iter() {
+            for m in &mut mms {
+                m.install_zero_page(VAddr(a).page(), PageState::ReadShared);
+                assert_eq!(m.read_word(VAddr(a)), 0, "word survived unmap");
+            }
+        }
+    }
+}
+
+/// `install_page` given unordered contents — duplicate addresses and zero
+/// values included — reads back like a flat map applying the writes in
+/// order: the last write to an address wins.
+#[test]
+fn unsorted_page_contents_install_last_write_wins() {
+    let mut rng = SimRng::new(0x5EED_1005);
+    for _ in 0..256 {
+        let mut src = fresh();
+        let addr = src.map_anon(4096).unwrap();
+        let page = addr.page();
+        let writes: Vec<(u64, u64)> = (0..rng.range_u64(0, 40))
+            .map(|_| {
+                let a = page.base().0 + rng.range_u64(0, 16) * 8;
+                let v = if rng.index(4) == 0 { 0 } else { rng.next_u64() };
+                (a, v)
+            })
+            .collect();
+        let mut model: FastMap<u64, u64> = FastMap::default();
+        for &(a, v) in &writes {
+            model.insert(a, v);
+        }
+        let mut dst = src.replica_layout();
+        dst.install_page(
+            page,
+            PageState::Exclusive,
+            PageContents {
+                version: 3,
+                words: writes.into(),
+            },
+        );
+        for slot in 0..16 {
+            let a = page.base().0 + slot * 8;
+            assert_eq!(dst.read_word(VAddr(a)), model.get(&a).copied().unwrap_or(0));
+        }
+        assert_eq!(
+            dst.snapshot_page(page).words.as_slice(),
+            reference_page(&model, page)
+        );
     }
 }

@@ -59,5 +59,5 @@ pub use parallel::{
 };
 pub use queue::CalendarQueue;
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, Summary, TimeSeries};
+pub use stats::{Counter, Histogram, Summary, TimeSeries, TimeWeightedMean};
 pub use time::SimTime;

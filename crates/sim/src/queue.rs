@@ -15,9 +15,12 @@
 //!   covering a fixed `2^DAY_SHIFT` ns slice ("day") of virtual time, with a
 //!   bitmap over bucket occupancy so advancing the cursor skips empty days in
 //!   a few word scans. Pushing an in-window event is a `Vec::push`.
-//! - **Far-future overflow heap** — a plain binary heap for events beyond the
-//!   ring window. Events migrate ring-ward (at most once each) as the cursor
-//!   advances, so the heap stays small and cold in steady state.
+//! - **Far-future overflow heap** — a binary heap of bare `(time, seq,
+//!   slot)` keys for events beyond the ring window, whose payloads wait in a
+//!   slab (with a free list) until their window arrives. Heap sifts move
+//!   24-byte keys, not event payloads; a payload moves once into the slab
+//!   and once into its ring bucket. Events migrate ring-ward (at most once
+//!   each) as the cursor advances.
 //!
 //! Same-time bursts land in one bucket in `seq` order (pushes carry
 //! monotonically increasing seqs), so extraction of the common
@@ -41,9 +44,12 @@ use crate::time::SimTime;
 
 /// Ring bucket width: each bucket spans `2^DAY_SHIFT` nanoseconds.
 const DAY_SHIFT: u32 = 3;
-/// Number of ring buckets (power of two). The ring window therefore spans
-/// `NBUCKETS << DAY_SHIFT` nanoseconds of virtual time ahead of the cursor.
+/// Number of ring buckets (power of two).
 const NBUCKETS: usize = 1024;
+/// Nanoseconds of virtual time the near-future ring spans, starting at its
+/// cursor (which never lies after the earliest queued event). Events pushed
+/// beyond the window wait in the overflow tier.
+pub const RING_WINDOW_NS: u64 = (NBUCKETS as u64) << DAY_SHIFT;
 const DAY_MASK: u64 = NBUCKETS as u64 - 1;
 const WORDS: usize = NBUCKETS / 64;
 
@@ -58,23 +64,6 @@ struct Pending<E> {
     at: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> PartialEq for Pending<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Pending<E> {}
-impl<E> PartialOrd for Pending<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Pending<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// A two-tier calendar queue ordering events by `(time, seq)`.
@@ -107,8 +96,15 @@ pub struct CalendarQueue<E> {
     cursor_day: u64,
     /// Events currently in ring buckets.
     ring_len: usize,
-    /// Far-future events (beyond the ring window at push time).
-    overflow: BinaryHeap<Reverse<Pending<E>>>,
+    /// Keys of far-future events (beyond the ring window at push time):
+    /// `(time, seq, slot)`, the payload parked at `slab[slot]`. Seqs are
+    /// unique, so the slot never decides an ordering.
+    overflow: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Payloads of the overflow tier's events; `None` slots are free and
+    /// listed in `free`.
+    slab: Vec<Option<E>>,
+    /// Free `slab` slots, reused before the slab grows.
+    free: Vec<u32>,
     /// Total queued events across head, ring and overflow.
     len: usize,
     /// Cached `(time, seq)` of the next event; `None` means "recompute on
@@ -166,6 +162,8 @@ impl<E> CalendarQueue<E> {
             cursor_day: 0,
             ring_len: 0,
             overflow: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             len: 0,
             next_key: None,
         }
@@ -285,7 +283,7 @@ impl<E> CalendarQueue<E> {
         } else {
             None
         };
-        let over = self.overflow.peek().map(|Reverse(p)| (p.at, p.seq));
+        let over = self.overflow.peek().map(|&Reverse((at, seq, _))| (at, seq));
         match (ring, over) {
             (Some(r), Some(o)) => r.min(o),
             (Some(r), None) => r,
@@ -307,20 +305,41 @@ impl<E> CalendarQueue<E> {
             self.ring_len += 1;
             self.occupied[idx / 64] |= 1 << (idx % 64);
         } else {
-            self.overflow.push(Reverse(p));
+            self.park(p);
         }
     }
 
+    /// Moves an event into the overflow tier: payload into a slab slot,
+    /// key onto the heap.
+    fn park(&mut self, p: Pending<E>) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(p.event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("overflow slab exceeds u32 slots");
+                self.slab.push(Some(p.event));
+                slot
+            }
+        };
+        self.overflow.push(Reverse((p.at, p.seq, slot)));
+    }
+
     /// Moves the ring window back so it starts at `day`. Rare (see
-    /// [`CalendarQueue::push`]): dumps the ring into the overflow heap and
+    /// [`CalendarQueue::push`]): parks the ring in the overflow tier and
     /// lets events migrate back window-by-window.
     fn retreat(&mut self, day: u64) {
         debug_assert!(self.head.is_empty(), "retreat with extracted head");
         if self.ring_len > 0 {
             for idx in 0..NBUCKETS {
-                for p in self.buckets[idx].drain(..) {
-                    self.overflow.push(Reverse(p));
+                // Take the bucket to park its events, then hand the emptied
+                // allocation back.
+                let mut bucket = std::mem::take(&mut self.buckets[idx]);
+                for p in bucket.drain(..) {
+                    self.park(p);
                 }
+                self.buckets[idx] = bucket;
             }
             self.ring_len = 0;
             self.occupied = [0; WORDS];
@@ -336,14 +355,16 @@ impl<E> CalendarQueue<E> {
             // Migrate overflow events that the current window now covers.
             // Each event migrates at most once: days are fixed and the
             // cursor only moves forward here.
-            while let Some(Reverse(p)) = self.overflow.peek() {
-                debug_assert!(day_of(p.at) >= self.cursor_day);
-                if day_of(p.at) >= self.cursor_day + NBUCKETS as u64 {
+            while let Some(&Reverse((at, seq, slot))) = self.overflow.peek() {
+                debug_assert!(day_of(at) >= self.cursor_day);
+                if day_of(at) >= self.cursor_day + NBUCKETS as u64 {
                     break;
                 }
-                let Reverse(p) = self.overflow.pop().expect("peeked non-empty");
-                let idx = (day_of(p.at) & DAY_MASK) as usize;
-                self.buckets[idx].push(p);
+                self.overflow.pop();
+                let event = self.slab[slot as usize].take().expect("parked slot");
+                self.free.push(slot);
+                let idx = (day_of(at) & DAY_MASK) as usize;
+                self.buckets[idx].push(Pending { at, seq, event });
                 self.ring_len += 1;
                 self.occupied[idx / 64] |= 1 << (idx % 64);
             }
@@ -352,8 +373,8 @@ impl<E> CalendarQueue<E> {
                     None => return false,
                     // Far-future gap: jump the window to the next event and
                     // migrate on the next pass.
-                    Some(Reverse(p)) => {
-                        self.cursor_day = day_of(p.at);
+                    Some(&Reverse((at, _, _))) => {
+                        self.cursor_day = day_of(at);
                         continue;
                     }
                 }
@@ -463,7 +484,7 @@ mod tests {
     #[test]
     fn far_future_goes_through_overflow_and_back() {
         let mut q = CalendarQueue::new();
-        let span = (NBUCKETS as u64) << DAY_SHIFT;
+        let span = RING_WINDOW_NS;
         // Same-time tie group far beyond the ring window, interleaved with
         // near events — the group must reassemble in seq order after
         // migrating through the overflow heap.
@@ -483,9 +504,60 @@ mod tests {
     }
 
     #[test]
+    fn overflow_tier_parks_keys_and_reuses_slab_slots() {
+        let span = RING_WINDOW_NS;
+        let overflow = |q: &CalendarQueue<u32>| {
+            let dbg = format!("{q:?}");
+            let n = dbg
+                .split("overflow: ")
+                .nth(1)
+                .expect("debug lists overflow");
+            n[..n.find(',').unwrap()].parse::<usize>().unwrap()
+        };
+        let mut q = CalendarQueue::new();
+        q.push(SimTime::from_nanos(3 * span), 0, 30);
+        q.push(SimTime::from_nanos(2 * span), 1, 20);
+        q.push(SimTime::from_nanos(5 * span), 2, 50);
+        q.push(SimTime::from_nanos(10), 3, 1);
+        assert_eq!(overflow(&q), 3, "far pushes park in the overflow tier");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 3, 1)));
+        // The window jumps to 2·span; only that event migrates ring-ward
+        // and its slab slot is freed.
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(2 * span), 1, 20)));
+        assert_eq!(overflow(&q), 2);
+        assert_eq!(q.free.len(), 1);
+        // A new far push reuses the freed slot instead of growing the slab.
+        q.push(SimTime::from_nanos(4 * span), 4, 40);
+        assert_eq!((q.slab.len(), q.free.len()), (3, 0));
+        // An in-window push, then one before the window: the retreat parks
+        // the ring's event in the overflow tier too.
+        q.push(SimTime::from_nanos(2 * span + 16), 5, 21);
+        assert_eq!(overflow(&q), 3);
+        q.push(SimTime::from_nanos(100), 6, 2);
+        assert_eq!(overflow(&q), 4);
+        assert_eq!(
+            drain(&mut q),
+            vec![
+                (100, 6, 2),
+                (2 * span + 16, 5, 21),
+                (3 * span, 0, 30),
+                (4 * span, 4, 40),
+                (5 * span, 2, 50),
+            ]
+        );
+        assert_eq!(overflow(&q), 0);
+        assert_eq!(
+            q.free.len(),
+            q.slab.len(),
+            "every slot back on the free list"
+        );
+        assert!(q.slab.iter().all(Option::is_none));
+    }
+
+    #[test]
     fn peek_is_non_destructive_and_cached() {
         let mut q = CalendarQueue::new();
-        let span = (NBUCKETS as u64) << DAY_SHIFT;
+        let span = RING_WINDOW_NS;
         q.push(SimTime::from_nanos(3 * span), 0, 1); // overflow tier
         assert_eq!(q.peek(), Some((SimTime::from_nanos(3 * span), 0)));
         // Peek must not have jumped the window: a near push afterwards is
@@ -510,7 +582,7 @@ mod tests {
     #[test]
     fn retreat_before_window_start() {
         let mut q = CalendarQueue::new();
-        let span = (NBUCKETS as u64) << DAY_SHIFT;
+        let span = RING_WINDOW_NS;
         q.push(SimTime::from_nanos(5 * span), 0, 1);
         q.push(SimTime::from_nanos(5 * span + 8), 1, 2);
         // Popping jumps the window to the far events.

@@ -408,6 +408,97 @@ impl TimeSeries {
     }
 }
 
+/// The time-weighted mean of a step function, accumulated point by point
+/// in O(1) space.
+///
+/// Equivalent to pushing the same points into a [`TimeSeries`] and calling
+/// [`TimeSeries::time_weighted_mean`] — bit for bit: it performs the same
+/// f64 operations in the same order (each step's `value × holding ns`
+/// added as the next point arrives, the zero-span fallback to the point
+/// mean, and the release-mode clamp of out-of-order points) — but keeps
+/// only the first and last points and running sums instead of every
+/// point. Use it where the mean is the only thing read.
+///
+/// # Example
+///
+/// ```
+/// use popcorn_sim::{SimTime, TimeWeightedMean};
+/// let mut m = TimeWeightedMean::new();
+/// m.push(SimTime::from_nanos(0), 10.0);
+/// m.push(SimTime::from_nanos(1), 0.0);
+/// m.push(SimTime::from_nanos(10), 7.0);
+/// assert_eq!(m.time_weighted_mean(), 1.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct TimeWeightedMean {
+    first: SimTime,
+    /// The latest point, `None` until the first push.
+    last: Option<(SimTime, f64)>,
+    /// Σ value × holding interval over every closed step.
+    weighted: f64,
+    /// Σ value over every point (the zero-span fallback's numerator).
+    /// Starts at -0.0, the neutral element `f64: Sum` folds from, so the
+    /// fallback matches [`TimeSeries::mean`] even for signed zeros.
+    sum: f64,
+    count: u64,
+}
+
+impl Default for TimeWeightedMean {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl TimeWeightedMean {
+    /// Creates an empty accumulator.
+    pub fn new() -> Self {
+        TimeWeightedMean {
+            first: SimTime::ZERO,
+            last: None,
+            weighted: 0.0,
+            sum: -0.0,
+            count: 0,
+        }
+    }
+
+    /// Appends a point, with [`TimeSeries::push`]'s time-order contract:
+    /// an out-of-order point panics in debug builds and is clamped to the
+    /// last timestamp in release builds.
+    pub fn push(&mut self, at: SimTime, value: f64) {
+        debug_assert!(
+            self.last.is_none_or(|(t, _)| at >= t),
+            "time series must be appended in time order"
+        );
+        let at = match self.last {
+            None => {
+                self.first = at;
+                at
+            }
+            Some((t, v)) => {
+                let at = at.max(t);
+                self.weighted += v * at.saturating_sub(t).as_nanos() as f64;
+                at
+            }
+        };
+        self.last = Some((at, value));
+        self.sum += value;
+        self.count += 1;
+    }
+
+    /// The time-weighted mean of the points so far (see
+    /// [`TimeSeries::time_weighted_mean`]); 0.0 if empty.
+    pub fn time_weighted_mean(&self) -> f64 {
+        let Some((last, _)) = self.last else {
+            return 0.0;
+        };
+        let span = last.saturating_sub(self.first).as_nanos();
+        if span == 0 {
+            return self.sum / self.count as f64;
+        }
+        self.weighted / span as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,5 +762,85 @@ mod tests {
         let pts: Vec<_> = ts.iter().collect();
         assert_eq!(pts[1].0, SimTime::from_nanos(10), "clamped, not reordered");
         assert_eq!(ts.time_weighted_mean(), 1.5, "zero span → point mean");
+    }
+
+    /// Pushes `points` into both a [`TimeSeries`] and a
+    /// [`TimeWeightedMean`] and returns the two means' bit patterns.
+    fn both_means(points: &[(u64, f64)]) -> (u64, u64) {
+        let mut ts = TimeSeries::new();
+        let mut acc = TimeWeightedMean::new();
+        for &(at, v) in points {
+            ts.push(SimTime::from_nanos(at), v);
+            acc.push(SimTime::from_nanos(at), v);
+        }
+        (
+            ts.time_weighted_mean().to_bits(),
+            acc.time_weighted_mean().to_bits(),
+        )
+    }
+
+    #[test]
+    fn time_weighted_mean_accumulator_matches_series_bit_for_bit() {
+        let mut rng = crate::SimRng::new(0x5EED_57A7);
+        for case in 0..512 {
+            let n = rng.range_u64(0, 64);
+            let mut at = rng.range_u64(0, 1 << 40);
+            let mut points = Vec::new();
+            for _ in 0..n {
+                // Mostly increasing times with repeats; values span small
+                // depths, large magnitudes, fractions and signed zeros.
+                if rng.index(3) != 0 {
+                    let bits = rng.range_u64(1, 30);
+                    at += rng.range_u64(0, 1 << bits);
+                }
+                let v = match rng.index(5) {
+                    0 => rng.range_u64(0, 64) as f64,
+                    1 => (rng.next_u64() >> 11) as f64 * 1e-3,
+                    2 => -((rng.next_u64() >> 20) as f64),
+                    3 => -0.0,
+                    _ => rng.f64() * 1e12,
+                };
+                points.push((at, v));
+            }
+            let (series, acc) = both_means(&points);
+            assert_eq!(series, acc, "case {case}: {points:?}");
+        }
+        // Zero-span series fall back to the point mean, signed zeros
+        // included.
+        for pts in [
+            vec![],
+            vec![(5, 3.0)],
+            vec![(5, 2.0), (5, 4.0), (5, 0.1)],
+            vec![(7, -0.0)],
+            vec![(7, -0.0), (7, -0.0)],
+            vec![(7, 0.0), (7, -0.0)],
+        ] {
+            let (series, acc) = both_means(&pts);
+            assert_eq!(series, acc, "zero span {pts:?}");
+        }
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn time_weighted_mean_accumulator_clamps_like_the_series() {
+        // Release builds clamp an out-of-order point to the last timestamp
+        // (debug builds panic, as for `TimeSeries`).
+        for pts in [
+            vec![(10, 1.0), (5, 2.0)],
+            vec![(10, 1.0), (20, 3.0), (15, 2.0), (30, 0.5)],
+            vec![(0, 4.0), (100, 1.0), (1, 9.0), (1, 2.0), (200, 7.0)],
+        ] {
+            let (series, acc) = both_means(&pts);
+            assert_eq!(series, acc, "clamped {pts:?}");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "time order"))]
+    fn time_weighted_mean_accumulator_out_of_order_push_is_caught() {
+        let mut acc = TimeWeightedMean::new();
+        acc.push(SimTime::from_nanos(10), 1.0);
+        acc.push(SimTime::from_nanos(5), 2.0);
+        assert_eq!(acc.time_weighted_mean(), 1.5, "zero span → point mean");
     }
 }

@@ -4,9 +4,16 @@
 //! replays many generated cases from a fixed seed, keeping runs
 //! reproducible bit-for-bit.
 
+use popcorn_sim::queue::RING_WINDOW_NS;
 use popcorn_sim::{
     CalendarQueue, Handler, Histogram, Scheduler, SimRng, SimTime, Simulator, StopCondition,
 };
+
+/// The calendar queue's near-future window. Time ranges below are drawn
+/// relative to it so the generated cases keep driving the ring, the
+/// overflow tier, migration back into the ring and retreat, whatever the
+/// window's size.
+const WINDOW: u64 = RING_WINDOW_NS;
 
 #[derive(Debug)]
 struct Tagged {
@@ -196,19 +203,19 @@ fn calendar_queue_matches_sorted_reference() {
         // buckets), so extraction must stay seq-ordered across a group
         // that dwarfs any single-bucket assumption.
         if case % 8 == 0 {
-            let at = rng.range_u64(0, 4_096);
+            let at = rng.range_u64(0, WINDOW / 2);
             for _ in 0..1_300 {
                 push(&mut real, &mut oracle, at);
             }
         }
 
         let ops = rng.range_u64(50, 600);
-        let mut burst_at = rng.range_u64(0, 2_048);
+        let mut burst_at = rng.range_u64(0, WINDOW / 4);
         for _ in 0..ops {
             match rng.index(8) {
                 // Near-future push (inside the ring window).
                 0 | 1 => {
-                    let at = rng.range_u64(0, 4_096);
+                    let at = rng.range_u64(0, WINDOW / 2);
                     push(&mut real, &mut oracle, at);
                 }
                 // Same-time burst: several events at one sticky instant.
@@ -217,12 +224,12 @@ fn calendar_queue_matches_sorted_reference() {
                         push(&mut real, &mut oracle, burst_at);
                     }
                     if rng.index(4) == 0 {
-                        burst_at = rng.range_u64(0, 8_192);
+                        burst_at = rng.range_u64(0, WINDOW);
                     }
                 }
-                // Far-future push (beyond the 8192 ns ring window).
+                // Far-future push (beyond the ring window).
                 3 => {
-                    let at = rng.range_u64(8_192, 100_000);
+                    let at = rng.range_u64(WINDOW, 12 * WINDOW);
                     push(&mut real, &mut oracle, at);
                 }
                 // Push earlier than the current minimum (retreat/spill).
@@ -285,8 +292,8 @@ fn reactions(case_seed: u64, ev: Chained) -> Vec<(u64, Chained)> {
             let delay = match r.index(4) {
                 0 => 0,
                 1 => r.range_u64(1, 16),
-                2 => r.range_u64(16, 4_096),
-                _ => r.range_u64(8_192, 32_768),
+                2 => r.range_u64(16, WINDOW / 2),
+                _ => r.range_u64(WINDOW, 4 * WINDOW),
             };
             let child = Chained {
                 id: ev.id.wrapping_mul(8).wrapping_add(i as u64 + 1),
@@ -350,10 +357,10 @@ fn engine_matches_reference_executor_on_staged_chains() {
         let mut initial: Vec<(u64, Chained)> = Vec::new();
         let mut id = 1_000_000;
         for _ in 0..rng.range_u64(1, 48) {
-            initial.push((rng.range_u64(0, 16_384), Chained { id, depth: 0 }));
+            initial.push((rng.range_u64(0, 2 * WINDOW), Chained { id, depth: 0 }));
             id += 1;
         }
-        let burst_at = rng.range_u64(0, 8_192);
+        let burst_at = rng.range_u64(0, WINDOW);
         let burst_len = if case == 0 {
             1_300
         } else {
