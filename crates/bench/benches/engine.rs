@@ -1,20 +1,23 @@
 //! Criterion benches for the simulation substrate itself: event queue,
-//! RNG, histogram, lock-site model, fabric and the kernel model's run
-//! loop. These bound how large an experiment the harness can afford.
+//! RNG, histogram, lock-site model, fabric, the kernel model's run loop
+//! and the page directory. These bound how large an experiment the
+//! harness can afford.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
+use popcorn_core::directory::{DirStep, Directory, PageRequest};
 use popcorn_hw::{CoreId, HwParams, Interconnect, LockSite, Machine, RwLockSite, Topology};
 use popcorn_kernel::kernel::{Kernel, RunOutcome};
-use popcorn_kernel::mm::{Mm, PageState};
+use popcorn_kernel::mm::{Mm, PageContents, PageState};
 use popcorn_kernel::params::OsParams;
 use popcorn_kernel::program::{Op, ProgEnv, Program, Resume};
 use popcorn_kernel::types::{GroupId, PageNo, Tid, VAddr};
-use popcorn_msg::KernelId;
+use popcorn_msg::{KernelId, RpcId};
 use popcorn_sim::queue::RING_WINDOW_NS;
 use popcorn_sim::{
-    run_partitioned, Handler, Histogram, Partition, Scheduler, SimRng, SimTime, Simulator,
+    run_partitioned, CalendarQueue, Handler, Histogram, Partition, Scheduler, SimRng, SimTime,
+    Simulator,
 };
 
 #[derive(Debug)]
@@ -440,6 +443,68 @@ fn bench_mm_transfer(c: &mut Criterion) {
     g.finish();
 }
 
+/// One directory write fault that invalidates three holders: the
+/// request, the three acks and the requester's `PageDone`. The writer
+/// already holds a read copy, so no ack needs to carry data. Each
+/// iteration then re-creates the holders with three read faults, so the
+/// write always meets the same copyset.
+fn bench_directory(c: &mut Criterion) {
+    const PAGE: PageNo = PageNo(0x7f000);
+    let req = |n: u64, k: u16, write: bool| PageRequest {
+        rpc: RpcId(n),
+        origin: KernelId(k),
+        write,
+    };
+    // Kernel 3 owns the page; kernels 0-2 read it.
+    let mut d = Directory::new();
+    d.request(PAGE, req(0, 3, true));
+    d.done(PAGE);
+    let mut n = 0u64;
+    let read_back = |d: &mut Directory, n: &mut u64| {
+        for k in 0..3 {
+            *n += 1;
+            d.request(PAGE, req(*n, k, false));
+            d.fetched(PAGE, PageContents::default());
+            d.done(PAGE);
+        }
+    };
+    read_back(&mut d, &mut n);
+    c.bench_function("directory/write_invalidate_3_holders", |b| {
+        b.iter(|| {
+            n += 1;
+            let DirStep::Invalidate { holders } = d.request(PAGE, req(n, 3, true)) else {
+                panic!("three holders to invalidate");
+            };
+            let mut grant = None;
+            for h in holders {
+                grant = d.inval_acked(PAGE, h, None).or(grant);
+            }
+            black_box(grant.expect("granted"));
+            d.done(PAGE);
+            read_back(&mut d, &mut n);
+        })
+    });
+}
+
+/// Parks a far-future event beside 1,000 standing parked events, then
+/// cancels it: the path an answered RPC's deadline takes.
+fn bench_queue_cancel(c: &mut Criterion) {
+    let mut q: CalendarQueue<u64> = CalendarQueue::new();
+    let far = |i: u64| SimTime::from_nanos(10 * RING_WINDOW_NS + i * 100);
+    for seq in 0..1_000u64 {
+        q.push(far(seq), seq, seq);
+    }
+    let mut seq = 1_000u64;
+    c.bench_function("queue/park_then_cancel", |b| {
+        b.iter(|| {
+            seq += 1;
+            let key = q.push_cancellable(far(seq), seq, seq).expect("parked");
+            black_box(q.cancel(key))
+        })
+    });
+    assert_eq!(q.len(), 1_000);
+}
+
 criterion_group!(
     benches,
     bench_event_loop,
@@ -449,6 +514,8 @@ criterion_group!(
     bench_lock_sites,
     bench_epoch_scheduler,
     bench_run_core,
-    bench_mm_transfer
+    bench_mm_transfer,
+    bench_directory,
+    bench_queue_cancel
 );
 criterion_main!(benches);

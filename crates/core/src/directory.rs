@@ -13,12 +13,17 @@
 //! results back via [`Directory::fetched`] / [`Directory::inval_acked`] and
 //! completion via [`Directory::done`]. Keeping it pure lets the property
 //! tests drive millions of protocol interleavings without a simulator.
+//!
+//! Kernel sets (copysets, invalidation targets, awaited acks) are inline
+//! [`KernelSet`] bitsets, so a fault round trip allocates nothing; they
+//! iterate in ascending kernel order, which fixes the order invalidations
+//! go out in.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use popcorn_kernel::mm::{PageContents, PageInfo, PageState};
 use popcorn_kernel::types::PageNo;
-use popcorn_msg::{KernelId, RpcId};
+use popcorn_msg::{KernelId, KernelSet, RpcId};
 use popcorn_sim::FastMap;
 
 /// One queued or in-service page request.
@@ -45,7 +50,7 @@ pub enum DirStep {
     /// Invalidate holders (write fault); the owner's ack carries the data.
     Invalidate {
         /// Kernels to invalidate (never includes the requester).
-        holders: Vec<KernelId>,
+        holders: KernelSet,
     },
     /// A transfer is in flight for this page; the request is queued and
     /// will be emitted by [`Directory::done`].
@@ -73,7 +78,7 @@ pub struct Grant {
 struct Collection {
     req: PageRequest,
     awaiting_fetch: bool,
-    awaiting_acks: BTreeSet<KernelId>,
+    awaiting_acks: KernelSet,
     data: Option<PageContents>,
     /// Whether the grant should carry data once collection completes.
     needs_data: bool,
@@ -83,7 +88,7 @@ struct Collection {
 #[derive(Debug)]
 struct DirEntry {
     owner: KernelId,
-    copyset: BTreeSet<KernelId>,
+    copyset: KernelSet,
     version: u64,
     busy: bool,
     collecting: Option<Collection>,
@@ -130,13 +135,11 @@ impl Directory {
         match self.entries.get_mut(&page) {
             None => {
                 // First touch anywhere: zero-fill exclusive grant.
-                let mut copyset = BTreeSet::new();
-                copyset.insert(req.origin);
                 self.entries.insert(
                     page,
                     DirEntry {
                         owner: req.origin,
-                        copyset,
+                        copyset: KernelSet::one(req.origin),
                         version: 0,
                         busy: true,
                         collecting: None,
@@ -159,18 +162,12 @@ impl Directory {
             Some(e) => {
                 e.busy = true;
                 if req.write {
-                    let holders: Vec<KernelId> = e
-                        .copyset
-                        .iter()
-                        .copied()
-                        .filter(|&k| k != req.origin)
-                        .collect();
-                    let upgrading = e.copyset.contains(&req.origin);
+                    let holders = e.copyset.without(req.origin);
+                    let upgrading = e.copyset.contains(req.origin);
                     e.version += 1;
                     let version = e.version;
                     e.owner = req.origin;
-                    e.copyset.clear();
-                    e.copyset.insert(req.origin);
+                    e.copyset = KernelSet::one(req.origin);
                     if holders.is_empty() {
                         // Sole holder upgrading in place.
                         debug_assert!(upgrading, "write fault with empty copyset");
@@ -187,14 +184,14 @@ impl Directory {
                         e.collecting = Some(Collection {
                             req,
                             awaiting_fetch: false,
-                            awaiting_acks: holders.iter().copied().collect(),
+                            awaiting_acks: holders,
                             data: None,
                             needs_data: !upgrading,
                         });
                         DirStep::Invalidate { holders }
                     }
                 } else {
-                    if e.copyset.contains(&req.origin) {
+                    if e.copyset.contains(req.origin) {
                         // The requester already holds a copy: this was a
                         // queued request satisfied by an earlier transfer
                         // to the same kernel. Refresh-grant without data.
@@ -216,7 +213,7 @@ impl Directory {
                     e.collecting = Some(Collection {
                         req,
                         awaiting_fetch: true,
-                        awaiting_acks: BTreeSet::new(),
+                        awaiting_acks: KernelSet::new(),
                         data: None,
                         needs_data: true,
                     });
@@ -263,7 +260,7 @@ impl Directory {
         let e = self.entries.get_mut(&page).expect("ack for unknown page");
         let c = e.collecting.as_mut().expect("no collection in flight");
         assert!(
-            c.awaiting_acks.remove(&from),
+            c.awaiting_acks.remove(from),
             "unexpected inval ack from {from} for {page}"
         );
         // Every holder's copy is identical at the current version, so any
@@ -303,14 +300,11 @@ impl Directory {
     /// Drops directory entries for unmapped pages, returning for each the
     /// holders that must be invalidated (fire-and-forget; the VMA update
     /// ack protocol provides the synchronization).
-    pub fn drop_pages(
-        &mut self,
-        pages: impl Iterator<Item = PageNo>,
-    ) -> Vec<(PageNo, Vec<KernelId>)> {
+    pub fn drop_pages(&mut self, pages: impl Iterator<Item = PageNo>) -> Vec<(PageNo, KernelSet)> {
         let mut out = Vec::new();
         for p in pages {
             if let Some(e) = self.entries.remove(&p) {
-                out.push((p, e.copyset.into_iter().collect()));
+                out.push((p, e.copyset));
             }
         }
         out
@@ -320,11 +314,16 @@ impl Directory {
     pub fn view(&self, page: PageNo) -> Option<DirView> {
         self.entries.get(&page).map(|e| DirView {
             owner: e.owner,
-            copyset: e.copyset.iter().copied().collect(),
+            copyset: e.copyset.iter().collect(),
             version: e.version,
             busy: e.busy,
             queued: e.waiting.len(),
         })
+    }
+
+    /// Whether a transfer is in flight for `page` (false when untracked).
+    pub fn is_busy(&self, page: PageNo) -> bool {
+        self.entries.get(&page).is_some_and(|e| e.busy)
     }
 
     /// Number of tracked pages.
@@ -334,11 +333,8 @@ impl Directory {
 
     /// All holders across all pages of this directory (for group kill
     /// bookkeeping).
-    pub fn all_holders(&self) -> BTreeSet<KernelId> {
-        self.entries
-            .values()
-            .flat_map(|e| e.copyset.iter().copied())
-            .collect()
+    pub fn all_holders(&self) -> KernelSet {
+        self.entries.values().flat_map(|e| e.copyset).collect()
     }
 
     /// All tracked pages in ascending order (deterministic iteration over
@@ -366,7 +362,7 @@ impl Directory {
         self.entries
             .get(&page)
             .and_then(|e| e.collecting.as_ref())
-            .is_some_and(|c| c.awaiting_acks.contains(&from))
+            .is_some_and(|c| c.awaiting_acks.contains(from))
     }
 
     /// Excises a crashed kernel from every entry: in-flight exchanges it
@@ -385,7 +381,7 @@ impl Directory {
             let involved = e.collecting.as_ref().is_some_and(|c| {
                 c.req.origin == dead
                     || (c.awaiting_fetch && e.owner == dead)
-                    || c.awaiting_acks.contains(&dead)
+                    || c.awaiting_acks.contains(dead)
             });
             if involved {
                 let c = e.collecting.as_mut().expect("checked above");
@@ -395,7 +391,7 @@ impl Directory {
                         // copyset entry and forget the exchange. The live
                         // owner's late `PageFetched` is tolerated by
                         // `fetch_pending` turning false.
-                        e.copyset.remove(&dead);
+                        e.copyset.remove(dead);
                         e.collecting = None;
                         e.busy = false;
                     } else {
@@ -415,14 +411,14 @@ impl Directory {
                     // requester's optimistic copyset entry and re-drive
                     // its request once the prune below picks a successor.
                     let req = c.req;
-                    e.copyset.remove(&req.origin);
+                    e.copyset.remove(req.origin);
                     e.collecting = None;
                     e.busy = false;
                     redo_req = Some(req);
                 } else {
                     // The dead kernel owes an invalidation ack that will
                     // never come.
-                    c.awaiting_acks.remove(&dead);
+                    c.awaiting_acks.remove(dead);
                     if c.awaiting_acks.is_empty() {
                         let c = e.collecting.take().expect("just present");
                         if c.needs_data && c.data.is_none() {
@@ -459,9 +455,9 @@ impl Directory {
                 }
             }
             // Generic membership prune.
-            e.copyset.remove(&dead);
+            e.copyset.remove(dead);
             if e.owner == dead {
-                match e.copyset.iter().next().copied() {
+                match e.copyset.first() {
                     Some(successor) => {
                         e.owner = successor;
                         out.promoted += 1;
@@ -523,7 +519,7 @@ impl Directory {
             for &(page, info) in pages {
                 let e = d.entries.entry(page).or_insert_with(|| DirEntry {
                     owner: *k,
-                    copyset: BTreeSet::new(),
+                    copyset: KernelSet::new(),
                     version: info.version,
                     busy: false,
                     collecting: None,
@@ -582,6 +578,10 @@ mod tests {
         }
     }
 
+    fn ks(ids: &[KernelId]) -> KernelSet {
+        ids.iter().copied().collect()
+    }
+
     fn data() -> PageContents {
         PageContents {
             version: 0,
@@ -636,7 +636,7 @@ mod tests {
         d.done(P);
         // K2 writes: both K0 (owner) and K1 (sharer) must be invalidated.
         match d.request(P, req(3, K2, true)) {
-            DirStep::Invalidate { holders } => assert_eq!(holders, vec![K0, K1]),
+            DirStep::Invalidate { holders } => assert_eq!(holders, ks(&[K0, K1])),
             other => panic!("expected invalidate, got {other:?}"),
         }
         // Sharer acks without data: no grant yet.
@@ -663,7 +663,7 @@ mod tests {
         d.done(P);
         // ...then K1 writes: K0 invalidated, but K1 already has the bytes.
         match d.request(P, req(3, K1, true)) {
-            DirStep::Invalidate { holders } => assert_eq!(holders, vec![K0]),
+            DirStep::Invalidate { holders } => assert_eq!(holders, ks(&[K0])),
             other => panic!("expected invalidate, got {other:?}"),
         }
         let g = d.inval_acked(P, K0, Some(data())).expect("grant");
@@ -684,7 +684,7 @@ mod tests {
         let (next, step) = d.done(P).expect("queued request");
         assert_eq!(next.origin, K1);
         match step {
-            DirStep::Invalidate { holders } => assert_eq!(holders, vec![K0]),
+            DirStep::Invalidate { holders } => assert_eq!(holders, ks(&[K0])),
             other => panic!("expected invalidate, got {other:?}"),
         }
         let g = d.inval_acked(P, K0, Some(data())).expect("grant");
@@ -705,7 +705,7 @@ mod tests {
             match d.request(P, req(n, k, true)) {
                 DirStep::Invalidate { holders } => {
                     assert_eq!(holders.len(), 1, "exactly one holder before each write");
-                    let owner = holders[0];
+                    let owner = holders.first().expect("one holder");
                     d.inval_acked(P, owner, Some(data())).expect("grant");
                 }
                 DirStep::Grant(_) => {}
@@ -745,7 +745,7 @@ mod tests {
         d.fetched(P, data());
         d.done(P);
         let dropped = d.drop_pages([P, PageNo(0x9999)].into_iter());
-        assert_eq!(dropped, vec![(P, vec![K0, K1])]);
+        assert_eq!(dropped, vec![(P, ks(&[K0, K1]))]);
         assert!(d.view(P).is_none());
         assert_eq!(d.tracked_pages(), 0);
     }
@@ -776,8 +776,7 @@ mod tests {
         d.done(P);
         d.request(p2, req(2, K2, true));
         d.done(p2);
-        let all: Vec<KernelId> = d.all_holders().into_iter().collect();
-        assert_eq!(all, vec![K0, K2]);
+        assert_eq!(d.all_holders(), ks(&[K0, K2]));
     }
 
     #[test]
@@ -824,7 +823,7 @@ mod tests {
         // K1 upgrades its read copy to write: only K0's ack is pending,
         // and K1 already holds the bytes.
         match d.request(P, req(3, K1, true)) {
-            DirStep::Invalidate { holders } => assert_eq!(holders, vec![K0]),
+            DirStep::Invalidate { holders } => assert_eq!(holders, ks(&[K0])),
             other => panic!("unexpected {other:?}"),
         }
         // K0 dies before acking: the upgrade grant is released without it.
@@ -844,7 +843,7 @@ mod tests {
         d.done(P);
         // K1 writes: K0 must ship the data with its ack, but dies first.
         match d.request(P, req(2, K1, true)) {
-            DirStep::Invalidate { holders } => assert_eq!(holders, vec![K0]),
+            DirStep::Invalidate { holders } => assert_eq!(holders, ks(&[K0])),
             other => panic!("unexpected {other:?}"),
         }
         let r = d.reclaim_dead(K0);
@@ -902,7 +901,7 @@ mod tests {
         // K2 writes (invalidating K0), then dies mid-collection: the
         // bytes' location is ambiguous, so the page is declared lost.
         match d.request(P, req(2, K2, true)) {
-            DirStep::Invalidate { holders } => assert_eq!(holders, vec![K0]),
+            DirStep::Invalidate { holders } => assert_eq!(holders, ks(&[K0])),
             other => panic!("unexpected {other:?}"),
         }
         let r = d.reclaim_dead(K2);

@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use popcorn_kernel::types::{GroupId, PageNo, Tid};
-use popcorn_msg::{KernelId, RpcId};
+use popcorn_msg::{KernelId, KernelSet, RpcId};
 
 use crate::directory::Directory;
 
@@ -19,7 +19,7 @@ use crate::directory::Directory;
 struct UnmapPending {
     rpc: RpcId,
     origin: KernelId,
-    awaiting: BTreeSet<KernelId>,
+    awaiting: KernelSet,
 }
 
 /// Group-exit progress.
@@ -49,13 +49,13 @@ pub struct GroupHome {
     /// first transmission was lost can arrive *after* the member's
     /// `TaskExited` — and must not resurrect the retired member.
     retired: BTreeSet<Tid>,
-    replicas: BTreeSet<KernelId>,
+    replicas: KernelSet,
     /// Kernels holding a *page-table* replica of this group (the home's
     /// authoritative tables count as one), only populated when
     /// `page_table_replication` is on. Distinct from `replicas`, which
     /// tracks address-space (task/VMA) replicas: a kernel can host threads
     /// without replicating the translation structures.
-    pt_holders: BTreeSet<KernelId>,
+    pt_holders: KernelSet,
     /// Each holder's shadow of the directory's per-page versions, kept
     /// consistent by pushed `PtReplicaUpdate`s over the reliable fabric.
     /// The invariant audit demands shadow == directory at queue drain.
@@ -71,7 +71,7 @@ pub struct GroupHome {
     next_token: u64,
     pending_unmaps: BTreeMap<u64, UnmapPending>,
     phase: ExitPhase,
-    kill_acks_awaiting: BTreeSet<KernelId>,
+    kill_acks_awaiting: KernelSet,
     exit_code: i32,
 }
 
@@ -81,24 +81,20 @@ impl GroupHome {
     pub fn new(group: GroupId, leader: Tid, home: KernelId) -> Self {
         let mut members = BTreeMap::new();
         members.insert(leader, home);
-        let mut replicas = BTreeSet::new();
-        replicas.insert(home);
-        let mut pt_holders = BTreeSet::new();
-        pt_holders.insert(home);
         GroupHome {
             group,
             home,
             members,
             retired: BTreeSet::new(),
-            replicas,
-            pt_holders,
+            replicas: KernelSet::one(home),
+            pt_holders: KernelSet::one(home),
             pt_shadow: BTreeMap::new(),
             dir: Directory::new(),
             shard_dirs: BTreeMap::new(),
             next_token: 1,
             pending_unmaps: BTreeMap::new(),
             phase: ExitPhase::Running,
-            kill_acks_awaiting: BTreeSet::new(),
+            kill_acks_awaiting: KernelSet::new(),
             exit_code: 0,
         }
     }
@@ -151,35 +147,37 @@ impl GroupHome {
     }
 
     /// Kernels holding an address-space replica (home included).
-    pub fn replicas(&self) -> impl Iterator<Item = KernelId> + '_ {
-        self.replicas.iter().copied()
+    pub fn replicas(&self) -> impl Iterator<Item = KernelId> {
+        self.replicas.iter()
     }
 
     /// Replica kernels other than the home.
-    pub fn remote_replicas(&self) -> Vec<KernelId> {
+    pub fn remote_replicas(&self) -> KernelSet {
         self.replicas_except(self.home)
+    }
+
+    /// Whether any kernel other than the home holds a replica (the group
+    /// spans kernels).
+    pub fn has_remote_replicas(&self) -> bool {
+        !self.remote_replicas().is_empty()
     }
 
     /// Replica kernels other than `kernel`. Crash recovery re-homes a
     /// group away from its origin kernel, so the serving kernel passes its
     /// own id instead of assuming `group.home()`.
-    pub fn replicas_except(&self, kernel: KernelId) -> Vec<KernelId> {
-        self.replicas
-            .iter()
-            .copied()
-            .filter(|&k| k != kernel)
-            .collect()
+    pub fn replicas_except(&self, kernel: KernelId) -> KernelSet {
+        self.replicas.without(kernel)
     }
 
     /// Whether `kernel` holds a replica.
     pub fn has_replica(&self, kernel: KernelId) -> bool {
-        self.replicas.contains(&kernel)
+        self.replicas.contains(kernel)
     }
 
     /// Forgets `kernel`'s replica (crash recovery: the replica died with
     /// the kernel). Returns true if it was present.
     pub fn remove_replica(&mut self, kernel: KernelId) -> bool {
-        self.replicas.remove(&kernel)
+        self.replicas.remove(kernel)
     }
 
     /// Members currently located on `kernel`, in tid order.
@@ -196,14 +194,14 @@ impl GroupHome {
         self.replicas.insert(kernel)
     }
 
-    /// Kernels holding a page-table replica, ascending (home included).
-    pub fn pt_holders(&self) -> Vec<KernelId> {
-        self.pt_holders.iter().copied().collect()
+    /// Kernels holding a page-table replica (home included).
+    pub fn pt_holders(&self) -> KernelSet {
+        self.pt_holders
     }
 
     /// Whether `kernel` holds a page-table replica.
     pub fn has_pt_replica(&self, kernel: KernelId) -> bool {
-        self.pt_holders.contains(&kernel)
+        self.pt_holders.contains(kernel)
     }
 
     /// Registers a page-table replica at `kernel`. Returns true if new.
@@ -215,7 +213,7 @@ impl GroupHome {
     /// recovery: the replica died with the kernel). Returns true if held.
     pub fn remove_pt_holder(&mut self, kernel: KernelId) -> bool {
         self.pt_shadow.retain(|&(k, _), _| k != kernel);
-        self.pt_holders.remove(&kernel)
+        self.pt_holders.remove(kernel)
     }
 
     /// Applies a pushed page-table update at `kernel`'s shadow. Monotonic:
@@ -305,7 +303,7 @@ impl GroupHome {
     ) -> (u64, bool) {
         let token = self.next_token;
         self.next_token += 1;
-        let awaiting: BTreeSet<KernelId> = awaiting.into_iter().collect();
+        let awaiting: KernelSet = awaiting.into_iter().collect();
         let complete = awaiting.is_empty();
         self.pending_unmaps.insert(
             token,
@@ -329,7 +327,7 @@ impl GroupHome {
             .pending_unmaps
             .get_mut(&token)
             .unwrap_or_else(|| panic!("unknown unmap token {token}"));
-        assert!(p.awaiting.remove(&from), "unexpected unmap ack from {from}");
+        assert!(p.awaiting.remove(from), "unexpected unmap ack from {from}");
         if p.awaiting.is_empty() {
             let p = self.pending_unmaps.remove(&token).expect("just present");
             Some((p.rpc, p.origin))
@@ -347,7 +345,7 @@ impl GroupHome {
         let tokens: Vec<u64> = self.pending_unmaps.keys().copied().collect();
         for token in tokens {
             let p = self.pending_unmaps.get_mut(&token).expect("listed above");
-            if p.awaiting.remove(&kernel) && p.awaiting.is_empty() {
+            if p.awaiting.remove(kernel) && p.awaiting.is_empty() {
                 let p = self.pending_unmaps.remove(&token).expect("just present");
                 released.push((p.rpc, p.origin));
             }
@@ -371,19 +369,14 @@ impl GroupHome {
 
     /// Begins group exit: returns the replica kernels that must be ordered
     /// to kill (excluding `already_killed_on`, which did it locally).
-    pub fn begin_exit(&mut self, code: i32, already_killed_on: KernelId) -> Vec<KernelId> {
+    pub fn begin_exit(&mut self, code: i32, already_killed_on: KernelId) -> KernelSet {
         if self.phase != ExitPhase::Running {
-            return Vec::new(); // duplicate exit_group: first wins
+            return KernelSet::new(); // duplicate exit_group: first wins
         }
         self.phase = ExitPhase::Killing;
         self.exit_code = code;
-        let targets: Vec<KernelId> = self
-            .replicas
-            .iter()
-            .copied()
-            .filter(|&k| k != already_killed_on)
-            .collect();
-        self.kill_acks_awaiting = targets.iter().copied().collect();
+        let targets = self.replicas.without(already_killed_on);
+        self.kill_acks_awaiting = targets;
         // Members on the initiating kernel die immediately.
         self.members.retain(|_, &mut k| k != already_killed_on);
         targets
@@ -392,7 +385,7 @@ impl GroupHome {
     /// Records a kill acknowledgement listing the members that kernel
     /// killed; returns true when the exit is fully acknowledged.
     pub fn kill_acked(&mut self, from: KernelId, killed: &[Tid]) -> bool {
-        self.kill_acks_awaiting.remove(&from);
+        self.kill_acks_awaiting.remove(from);
         for t in killed {
             self.members.remove(t);
         }
@@ -432,7 +425,10 @@ mod tests {
         h.member_joined(t2, KernelId(1));
         assert_eq!(h.live_members(), 2);
         assert_eq!(h.member_location(t2), Some(KernelId(1)));
-        assert_eq!(h.remote_replicas(), vec![KernelId(1)]);
+        assert_eq!(
+            h.remote_replicas().iter().collect::<Vec<_>>(),
+            vec![KernelId(1)]
+        );
         h.member_at(t2, KernelId(2));
         assert_eq!(h.member_location(t2), Some(KernelId(2)));
         assert_eq!(h.member_exited(t2), 1);
@@ -491,7 +487,10 @@ mod tests {
         h.member_joined(t3, KernelId(2));
         // exit_group called on kernel 1.
         let targets = h.begin_exit(5, KernelId(1));
-        assert_eq!(targets, vec![KernelId(0), KernelId(2)]);
+        assert_eq!(
+            targets.iter().collect::<Vec<_>>(),
+            vec![KernelId(0), KernelId(2)]
+        );
         assert_eq!(h.phase(), ExitPhase::Killing);
         assert_eq!(h.exit_code(), 5);
         // Kernel-1 members died with the initiator.
@@ -508,7 +507,10 @@ mod tests {
         h.member_joined(t2, KernelId(1));
         h.member_joined(t3, KernelId(1));
         assert_eq!(h.members_at(KernelId(1)), vec![t2, t3]);
-        assert_eq!(h.replicas_except(KernelId(1)), vec![KernelId(0)]);
+        assert_eq!(
+            h.replicas_except(KernelId(1)).iter().collect::<Vec<_>>(),
+            vec![KernelId(0)]
+        );
         assert!(h.has_replica(KernelId(1)));
         assert!(h.remove_replica(KernelId(1)));
         assert!(!h.remove_replica(KernelId(1)));
@@ -526,11 +528,14 @@ mod tests {
     #[test]
     fn pt_holders_start_with_home_and_track_adds_removes() {
         let mut h = home();
-        assert_eq!(h.pt_holders(), vec![KernelId(0)]);
+        assert_eq!(h.pt_holders().iter().collect::<Vec<_>>(), vec![KernelId(0)]);
         assert!(h.has_pt_replica(KernelId(0)));
         assert!(h.add_pt_holder(KernelId(2)));
         assert!(!h.add_pt_holder(KernelId(2)));
-        assert_eq!(h.pt_holders(), vec![KernelId(0), KernelId(2)]);
+        assert_eq!(
+            h.pt_holders().iter().collect::<Vec<_>>(),
+            vec![KernelId(0), KernelId(2)]
+        );
         h.observe_pt(KernelId(2), PageNo(7), 3);
         assert!(h.remove_pt_holder(KernelId(2)));
         assert!(!h.remove_pt_holder(KernelId(2)));

@@ -270,7 +270,9 @@ pub fn check(m: &PopcornMachine, now: SimTime) -> Result<(), Vec<String>> {
         }
     }
 
-    // 5. No RPC wedged past its deadline, no task blocked forever.
+    // 5. No RPC wedged past its deadline, no task blocked forever. An
+    //    outstanding request keeps its deadline queued (only completion
+    //    cancels it), so at queue drain every deadline has fired.
     if reliable {
         for (ki, ep) in m.rpcs().iter().enumerate() {
             if crashed(KernelId(ki as u16)) {

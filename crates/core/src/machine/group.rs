@@ -11,7 +11,7 @@ use popcorn_kernel::mm::Mm;
 use popcorn_kernel::program::{Placement, Program, SysResult};
 use popcorn_kernel::task::BlockReason;
 use popcorn_kernel::types::{GroupId, Tid};
-use popcorn_msg::{KernelId, RpcId};
+use popcorn_msg::{KernelId, KernelSet, RpcId};
 use popcorn_sim::SimTime;
 
 use crate::group::ExitPhase;
@@ -116,7 +116,7 @@ impl KernelCtx<'_, '_> {
         if me == home {
             let targets = match self.groups.get_mut(&group) {
                 Some(h) => h.begin_exit(code, me),
-                None => Vec::new(),
+                None => KernelSet::new(),
             };
             if targets.is_empty() {
                 self.reap_group(group, at);
@@ -332,7 +332,7 @@ impl KernelCtx<'_, '_> {
                 }
                 t
             }
-            None => Vec::new(),
+            None => KernelSet::new(),
         };
         // The home itself is among the replicas: kill locally rather than
         // messaging itself.

@@ -80,7 +80,7 @@ use popcorn_kernel::policy::MigrationPolicy;
 use popcorn_kernel::program::{Program, Resume, SysResult, SyscallReq};
 use popcorn_kernel::task::BlockReason;
 use popcorn_kernel::types::{Errno, GroupId, PageNo, Tid, VAddr};
-use popcorn_msg::{Delivery, Endpoint, Fabric, KernelId, ReliableFabric};
+use popcorn_msg::{Delivery, Endpoint, Fabric, KernelId, KernelSet, ReliableFabric};
 use popcorn_sim::{Histogram, Scheduler, SimTime, TimeWeightedMean};
 
 use crate::directory::PageRequest;
@@ -256,10 +256,10 @@ pub struct PopcornMachine {
     /// Load-telemetry board and tick state (inert under `ScriptedOnly`).
     telemetry: policy::Telemetry,
     /// Virtual time of the last event that did real protocol or execution
-    /// work. RPC-deadline timers that find their request already completed
-    /// (the overwhelmingly common case) do not count, so faulty runs can
+    /// work. Channel acks, policy ticks and RPC-deadline timers that find
+    /// their request already completed do not count, so faulty runs can
     /// report when the workload actually finished rather than when the
-    /// last moot deadline drained from the queue.
+    /// last of those drained from the queue.
     last_activity: SimTime,
     /// Partition link when this machine is one partition of a parallel
     /// run (`None` in serial runs — see [`partition`]).
@@ -274,6 +274,11 @@ pub struct PopcornMachine {
 impl PopcornMachine {
     /// Assembles the machine from its parts (used by the builder in
     /// [`crate::os`], and directly by protocol-level tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more kernels than a [`KernelSet`] can hold:
+    /// every protocol keeps its kernel sets in one.
     pub fn new(
         kernels: Vec<Kernel>,
         fabric: Fabric,
@@ -281,6 +286,7 @@ impl PopcornMachine {
         params: PopcornParams,
     ) -> Self {
         let n = kernels.len();
+        KernelSet::check_capacity(n).unwrap_or_else(|e| panic!("{e}"));
         let zone_locks = (0..n)
             .map(|_| LockSite::new("zone_lock", machine.params()))
             .collect();

@@ -31,8 +31,47 @@ pub struct PageWait {
     pub write: bool,
     /// When the first fault started (latency accounting).
     pub started: SimTime,
-    /// `(tid, needs_write)`; empty for ablation prefetches.
-    pub waiters: Vec<(Tid, bool)>,
+    /// The threads the grant wakes.
+    pub waiters: PageWaiters,
+}
+
+/// The `(tid, needs_write)` pairs a page grant wakes: the thread whose
+/// fault opened the request, held inline, then the threads that joined it
+/// in join order. The joiner list allocates only on the first join, so a
+/// fault nobody joins allocates nothing here.
+#[derive(Debug)]
+pub struct PageWaiters {
+    first: (Tid, bool),
+    joined: Vec<(Tid, bool)>,
+}
+
+impl PageWaiters {
+    /// The waiters of a fresh request: just its faulting thread.
+    pub fn new(tid: Tid, write: bool) -> Self {
+        PageWaiters {
+            first: (tid, write),
+            joined: Vec::new(),
+        }
+    }
+
+    /// Adds a thread that joined the in-flight request.
+    pub fn join(&mut self, tid: Tid, write: bool) {
+        self.joined.push((tid, write));
+    }
+
+    /// The waiters, first then joiners in join order.
+    pub fn iter(&self) -> impl Iterator<Item = (Tid, bool)> + '_ {
+        std::iter::once(self.first).chain(self.joined.iter().copied())
+    }
+}
+
+impl IntoIterator for PageWaiters {
+    type Item = (Tid, bool);
+    type IntoIter = std::iter::Chain<std::iter::Once<(Tid, bool)>, std::vec::IntoIter<(Tid, bool)>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::once(self.first).chain(self.joined)
+    }
 }
 
 /// In-flight page request of one kernel (fault coalescing).
@@ -93,7 +132,7 @@ impl KernelCtx<'_, '_> {
         }
         match self.rpcs[ki].get_mut(inf.rpc) {
             Some(Pending::Page(PageWait { waiters, .. })) => {
-                waiters.push((tid, write));
+                waiters.join(tid, write);
                 true
             }
             _ => false,
@@ -119,7 +158,7 @@ impl KernelCtx<'_, '_> {
                 page,
                 write,
                 started: at,
-                waiters: vec![(tid, write)],
+                waiters: PageWaiters::new(tid, write),
             }),
             at,
             home,
@@ -319,14 +358,8 @@ impl KernelCtx<'_, '_> {
         // After a crash, a bounced grant and the requester's own `PageDone`
         // can both try to release the same entry; the second must not fire
         // on an idle (or reclaimed) page.
-        if self.recovery.scheduled {
-            let busy = self
-                .dir_mut(group, page)
-                .and_then(|d| d.view(page))
-                .is_some_and(|v| v.busy);
-            if !busy {
-                return;
-            }
+        if self.recovery.scheduled && !self.dir_mut(group, page).is_some_and(|d| d.is_busy(page)) {
+            return;
         }
         match self.dir_mut(group, page).and_then(|d| d.done(page)) {
             Some((_req, step)) => {
@@ -491,7 +524,7 @@ impl KernelCtx<'_, '_> {
             let solo = self
                 .groups
                 .get(&group)
-                .is_none_or(|h| h.remote_replicas().is_empty());
+                .is_none_or(|h| !h.has_remote_replicas());
             let service = if solo {
                 at
             } else {
@@ -506,7 +539,7 @@ impl KernelCtx<'_, '_> {
                     page,
                     write,
                     started: at,
-                    waiters: vec![(tid, write)],
+                    waiters: PageWaiters::new(tid, write),
                 }),
                 at,
                 me,

@@ -221,7 +221,7 @@ impl KernelCtx<'_, '_> {
                 let Some(h) = self.groups.get(&g) else {
                     continue;
                 };
-                let holders = h.pt_holders();
+                let holders: Vec<KernelId> = h.pt_holders().iter().collect();
                 let local_threads = self.kernels[ki].group_members(g).len() as u32;
                 match self.policy.co_place(&view, local_threads, &holders) {
                     ReplicaDecision::Stay => {}

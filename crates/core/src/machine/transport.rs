@@ -18,7 +18,7 @@ use popcorn_sim::SimTime;
 
 use crate::proto::{ProtoMsg, Protocol};
 
-use super::{futex::FutexPending, vma::VmaPending, KernelCtx, Pending, PopMsg};
+use super::{futex::FutexPending, vma::VmaPending, KernelCtx, Pending, PopEvent, PopMsg};
 
 impl KernelCtx<'_, '_> {
     /// Sends a protocol message from kernel `from`, charging it to its
@@ -121,23 +121,27 @@ impl KernelCtx<'_, '_> {
     /// Schedules a kernel-local timer as a self-addressed event; it never
     /// touches the fabric (no cost, no fault exposure).
     pub(super) fn schedule_self(&mut self, ki: usize, at: SimTime, payload: ProtoMsg) {
+        let ev = self.self_event(ki, at, payload);
+        self.sched.at(at, ev);
+    }
+
+    fn self_event(&self, ki: usize, at: SimTime, payload: ProtoMsg) -> PopEvent {
         let kid = self.kid(ki);
-        self.sched.at(
-            at,
-            OsEvent::Custom(Delivery {
-                from: kid,
-                to: kid,
-                deliver_at: at,
-                send_busy: SimTime::ZERO,
-                payload,
-            }),
-        );
+        OsEvent::Custom(Delivery {
+            from: kid,
+            to: kid,
+            deliver_at: at,
+            send_busy: SimTime::ZERO,
+            payload,
+        })
     }
 
     /// Registers a pending RPC at kernel `ki`'s endpoint, charging the
     /// issue to its protocol family. Under active fault injection a
-    /// response deadline is attached and a timeout event scheduled, so a
-    /// lost conversation fails its caller cleanly instead of wedging it.
+    /// response deadline is attached: a cancellable timeout event, so a
+    /// lost conversation fails its caller cleanly instead of wedging it,
+    /// and an answered one leaves nothing behind in the queue
+    /// ([`Self::complete_rpc`] cancels it).
     pub(super) fn register_rpc(
         &mut self,
         ki: usize,
@@ -150,8 +154,11 @@ impl KernelCtx<'_, '_> {
             return self.rpcs[ki].register(pending);
         }
         let deadline = at + SimTime::from_nanos(self.params.rpc_deadline_ns);
-        let rpc = self.rpcs[ki].register_with_deadline(pending, deadline);
-        self.schedule_self(ki, deadline, ProtoMsg::RpcDeadline { rpc });
+        let rpc = self.rpcs[ki].register(pending);
+        let ev = self.self_event(ki, deadline, ProtoMsg::RpcDeadline { rpc });
+        if let Some(key) = self.sched.at_cancellable(deadline, ev) {
+            self.rpcs[ki].arm_timer(rpc, key);
+        }
         // Under planned crashes, remember who each conversation is with so
         // detection can fail over exactly the ones aimed at the victim.
         if self.recovery.scheduled {
@@ -161,9 +168,13 @@ impl KernelCtx<'_, '_> {
     }
 
     /// Completes a pending RPC (idempotent), charging the completion to
-    /// its protocol family.
+    /// its protocol family and cancelling its deadline event. Cancelling
+    /// changes no firing order: the event would have fired moot.
     pub(super) fn complete_rpc(&mut self, ki: usize, rpc: RpcId) -> Option<Pending> {
-        let pending = self.rpcs[ki].complete(rpc)?;
+        let (pending, timer) = self.rpcs[ki].complete_with_timer(rpc)?;
+        if let Some(key) = timer {
+            self.sched.cancel(key);
+        }
         if self.recovery.scheduled {
             self.recovery.rpc_dest[ki].remove(&rpc);
         }
@@ -341,9 +352,12 @@ impl KernelCtx<'_, '_> {
             // every other self-addressed timer.
             ProtoMsg::CrashDetect { victim } => self.on_crash_detect(ki, victim, now),
             ProtoMsg::RpcDeadline { rpc } => {
-                // Only fires for requests still pending at their deadline;
-                // `complete` is None when the response arrived in time (the
-                // moot timer then also doesn't count as activity).
+                // An answered request's deadline was cancelled, so this
+                // normally finds its request still pending. It can still
+                // fire moot when the deadline could not be cancelled (a
+                // deadline inside the queue's ring window, or one whose
+                // request a kernel teardown drained); `complete` is None
+                // then and the moot timer doesn't count as activity.
                 if let Some(pending) = self.complete_rpc(ki, rpc) {
                     self.note_activity(now);
                     self.stats.rpc_timeouts.incr();

@@ -100,7 +100,7 @@ impl KernelCtx<'_, '_> {
         let solo = self
             .groups
             .get(&group)
-            .is_none_or(|h| h.remote_replicas().is_empty());
+            .is_none_or(|h| !h.has_remote_replicas());
         let cost = if solo {
             SimTime::from_nanos(base)
         } else {
@@ -178,7 +178,7 @@ impl KernelCtx<'_, '_> {
                         let sd = self.machine.shootdown().tlb_shootdown(others);
                         let done = done + sd.initiator_busy;
                         let remotes = h.remote_replicas();
-                        let (token, complete) = h.begin_unmap(rpc, origin, remotes.clone());
+                        let (token, complete) = h.begin_unmap(rpc, origin, remotes);
                         if complete {
                             let (rpc, origin) = self
                                 .groups

@@ -6,7 +6,7 @@ use popcorn_kernel::osmodel::{self, KernelClustering, OsEvent, OsModel, RunRepor
 use popcorn_kernel::params::OsParams;
 use popcorn_kernel::program::Program;
 use popcorn_kernel::types::GroupId;
-use popcorn_msg::{Fabric, KernelId, MsgParams};
+use popcorn_msg::{Fabric, KernelId, KernelSet, MsgParams};
 use popcorn_sim::{Handler, Scheduler, SimTime, Simulator, StopCondition};
 
 use crate::machine::{PopEvent, PopcornMachine};
@@ -126,8 +126,9 @@ impl PopcornOsBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter set fails validation or there are more
-    /// kernels than cores.
+    /// Panics if any parameter set fails validation, there are more
+    /// kernels than cores, or more kernels than a
+    /// [`KernelSet`](popcorn_msg::KernelSet) can hold.
     pub fn build(self) -> PopcornOs {
         self.hw.validate().expect("invalid hardware parameters");
         self.os.validate().expect("invalid OS parameters");
@@ -152,6 +153,7 @@ impl PopcornOsBuilder {
         let kernel_count = self
             .clustering
             .map_or(self.kernels, |c| c.kernel_count(self.topology));
+        KernelSet::check_capacity(kernel_count as usize).unwrap_or_else(|e| panic!("{e}"));
         let parts = self.topology.partition(kernel_count);
         let locations: Vec<_> = parts.iter().map(|p| p[0]).collect();
         let fabric = Fabric::new(&machine, locations, self.msg);
@@ -298,11 +300,12 @@ impl OsModel for PopcornOs {
             );
         }
         let exited: u64 = kernels.iter().map(|k| k.stats.exited.get()).sum();
-        // Under fault injection, moot RPC-deadline timers can trail the real
-        // work by up to `rpc_deadline_ns`; report when the workload actually
-        // finished. The same applies to an active policy's trailing final
-        // tick. Fault-free scripted runs keep the raw clock (byte-identical
-        // to a build without the reliability layer).
+        // Under fault injection, channel acks and the rare RPC deadline that
+        // could not be cancelled (answered deadlines are) trail the real
+        // work; report when the workload actually finished. The same
+        // applies to an active policy's trailing final tick. Fault-free
+        // scripted runs keep the raw clock (byte-identical to a build
+        // without the reliability layer).
         let finished_at = if self.machine.fabric().faults_active() || self.machine.policy_active() {
             self.machine.last_activity()
         } else {

@@ -77,10 +77,10 @@ impl Harness {
                 self.pending_fetch = Some(owner);
             }
             DirStep::Invalidate { holders } => {
-                assert!(!holders.contains(&req.origin));
+                assert!(!holders.contains(req.origin));
                 for h in &holders {
                     assert!(
-                        self.local.contains_key(h),
+                        self.local.contains_key(&h),
                         "invalidating {h}, which holds nothing"
                     );
                 }

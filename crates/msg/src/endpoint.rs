@@ -6,7 +6,8 @@
 //! 1. turning a [`SendOutcome`] into scheduled receive events;
 //! 2. (under fault injection) sequence numbers, duplicate suppression and
 //!    retransmission with exponential backoff;
-//! 3. request/response correlation with optional deadlines.
+//! 3. request/response correlation, keeping each request's deadline-timer
+//!    key so an answered request can cancel its timeout.
 //!
 //! Historically the Popcorn core and the multikernel baseline each owned a
 //! private copy of this plumbing. This module hosts the shared
@@ -28,7 +29,7 @@
 
 use std::collections::BTreeMap;
 
-use popcorn_sim::SimTime;
+use popcorn_sim::{SimTime, TimerKey};
 
 use crate::fabric::{Delivery, Fabric, KernelId, SendOutcome, Wire};
 use crate::rpc::{RpcId, RpcTable};
@@ -391,20 +392,30 @@ impl<C> Endpoint<C> {
         self.rpcs.register(continuation)
     }
 
-    /// Like [`Endpoint::register`], but records a response deadline (see
-    /// [`RpcTable::register_with_deadline`]).
-    pub fn register_with_deadline(&mut self, continuation: C, deadline: SimTime) -> RpcId {
-        self.issued += 1;
-        self.rpcs.register_with_deadline(continuation, deadline)
+    /// Records the key of a request's cancellable deadline event (see
+    /// [`RpcTable::arm_timer`]).
+    pub fn arm_timer(&mut self, id: RpcId, key: TimerKey) {
+        self.rpcs.arm_timer(id, key);
+    }
+
+    /// The deadline-event key armed for a still-pending request, if any.
+    pub fn timer(&self, id: RpcId) -> Option<TimerKey> {
+        self.rpcs.timer(id)
     }
 
     /// Completes a request (idempotent; see [`RpcTable::complete`]).
     pub fn complete(&mut self, id: RpcId) -> Option<C> {
-        let c = self.rpcs.complete(id);
-        if c.is_some() {
+        self.complete_with_timer(id).map(|(c, _)| c)
+    }
+
+    /// Completes a request and yields its armed deadline key, which the
+    /// caller should cancel (see [`RpcTable::complete_with_timer`]).
+    pub fn complete_with_timer(&mut self, id: RpcId) -> Option<(C, Option<TimerKey>)> {
+        let done = self.rpcs.complete_with_timer(id);
+        if done.is_some() {
             self.completed += 1;
         }
-        c
+        done
     }
 
     /// Peeks at a pending continuation without completing it.
@@ -657,7 +668,7 @@ mod tests {
     fn endpoint_counts_issues_and_completions() {
         let mut ep: Endpoint<&'static str> = Endpoint::new();
         let a = ep.register("a");
-        let b = ep.register_with_deadline("b", SimTime::from_nanos(10));
+        let b = ep.register("b");
         assert_eq!(ep.issued(), 2);
         assert_eq!(ep.outstanding(), 2);
         assert_eq!(ep.complete(a), Some("a"));

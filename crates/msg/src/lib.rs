@@ -10,6 +10,7 @@
 //! This crate models that layer:
 //!
 //! - [`KernelId`] — a kernel instance identifier;
+//! - [`KernelSet`] — an inline, `Copy` bitset of kernel ids;
 //! - [`Wire`] — payload size accounting (bytes on the ring);
 //! - [`Fabric`] — per-ordered-pair FIFO channels with a
 //!   setup + per-byte + notification cost model, transmit serialization
@@ -44,11 +45,13 @@
 pub mod endpoint;
 pub mod fabric;
 pub mod fault;
+pub mod kernel_set;
 pub mod params;
 pub mod rpc;
 
 pub use endpoint::{Endpoint, ReliableFabric, RetxPolicy, SendPlan, SeqEnvelope};
 pub use fabric::{Delivery, Fabric, KernelId, SendOutcome, Wire};
 pub use fault::{Blackout, ChannelFaults, Crash, FaultCounters, FaultPlan};
+pub use kernel_set::KernelSet;
 pub use params::MsgParams;
 pub use rpc::{RpcId, RpcTable};

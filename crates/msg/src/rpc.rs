@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use popcorn_sim::{FastMap, SimTime};
+use popcorn_sim::{FastMap, TimerKey};
 
 /// Correlation identifier carried inside request/response payloads. Unique
 /// per [`RpcTable`] (i.e. per kernel), never reused within a run.
@@ -39,10 +39,9 @@ impl fmt::Display for RpcId {
 #[derive(Debug, Clone)]
 pub struct RpcTable<C> {
     next: u64,
-    pending: FastMap<RpcId, C>,
-    /// Response deadlines for requests registered with one; entries are
-    /// removed when the request completes (or is drained).
-    deadlines: FastMap<RpcId, SimTime>,
+    /// Each pending request's continuation and, when one was armed, the
+    /// key of its response-deadline event.
+    pending: FastMap<RpcId, (C, Option<TimerKey>)>,
 }
 
 impl<C> Default for RpcTable<C> {
@@ -57,7 +56,6 @@ impl<C> RpcTable<C> {
         RpcTable {
             next: 1,
             pending: FastMap::default(),
-            deadlines: FastMap::default(),
         }
     }
 
@@ -65,23 +63,24 @@ impl<C> RpcTable<C> {
     pub fn register(&mut self, continuation: C) -> RpcId {
         let id = RpcId(self.next);
         self.next += 1;
-        self.pending.insert(id, continuation);
+        self.pending.insert(id, (continuation, None));
         id
     }
 
-    /// Like [`RpcTable::register`], but records a response deadline. The
-    /// caller is responsible for scheduling a timeout event at `deadline`
-    /// and, when it fires, checking [`RpcTable::deadline`] / completing the
-    /// request with a failure if it is still pending.
-    pub fn register_with_deadline(&mut self, continuation: C, deadline: SimTime) -> RpcId {
-        let id = self.register(continuation);
-        self.deadlines.insert(id, deadline);
-        id
+    /// Records the key of the cancellable timeout event the caller
+    /// scheduled for a pending request's response deadline. The table
+    /// only keeps the key: [`RpcTable::complete_with_timer`] hands it back
+    /// so the caller can cancel the event once the response has arrived.
+    /// No-op for an unknown id.
+    pub fn arm_timer(&mut self, id: RpcId, key: TimerKey) {
+        if let Some((_, timer)) = self.pending.get_mut(&id) {
+            *timer = Some(key);
+        }
     }
 
-    /// The deadline recorded for a still-pending request, if any.
-    pub fn deadline(&self, id: RpcId) -> Option<SimTime> {
-        self.deadlines.get(&id).copied()
+    /// The deadline-event key armed for a still-pending request, if any.
+    pub fn timer(&self, id: RpcId) -> Option<TimerKey> {
+        self.pending.get(&id).and_then(|&(_, timer)| timer)
     }
 
     /// Completes a request, yielding its continuation; `None` if the id is
@@ -89,19 +88,24 @@ impl<C> RpcTable<C> {
     /// responses are therefore inherently idempotent: the first wins, the
     /// rest see `None` and must do nothing.
     pub fn complete(&mut self, id: RpcId) -> Option<C> {
-        self.deadlines.remove(&id);
+        self.complete_with_timer(id).map(|(c, _)| c)
+    }
+
+    /// Like [`RpcTable::complete`], but also yields the armed deadline
+    /// key, which the caller should cancel.
+    pub fn complete_with_timer(&mut self, id: RpcId) -> Option<(C, Option<TimerKey>)> {
         self.pending.remove(&id)
     }
 
     /// Peeks at a pending continuation without completing it.
     pub fn get(&self, id: RpcId) -> Option<&C> {
-        self.pending.get(&id)
+        self.pending.get(&id).map(|(c, _)| c)
     }
 
     /// Mutable peek at a pending continuation (for multi-response protocols
     /// that accumulate state before completing).
     pub fn get_mut(&mut self, id: RpcId) -> Option<&mut C> {
-        self.pending.get_mut(&id)
+        self.pending.get_mut(&id).map(|(c, _)| c)
     }
 
     /// Number of in-flight requests.
@@ -111,9 +115,10 @@ impl<C> RpcTable<C> {
 
     /// Drops all pending requests, returning their continuations in id
     /// order (used on kernel teardown so blocked tasks can be failed).
+    /// Armed deadline keys are forgotten, not returned: those events still
+    /// fire, and find their request gone.
     pub fn drain(&mut self) -> Vec<(RpcId, C)> {
-        self.deadlines.clear();
-        let mut all: Vec<_> = self.pending.drain().collect();
+        let mut all: Vec<_> = self.pending.drain().map(|(id, (c, _))| (id, c)).collect();
         all.sort_unstable_by_key(|&(id, _)| id);
         all
     }
@@ -163,19 +168,31 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// A real key for an event parked beyond the ring window.
+    fn key(seq: u64) -> TimerKey {
+        let mut q = popcorn_sim::CalendarQueue::new();
+        let at = popcorn_sim::SimTime::from_nanos(1_000_000_000);
+        q.push_cancellable(at, seq, ())
+            .expect("far events are cancellable")
+    }
+
     #[test]
-    fn deadline_is_stored_and_cleared_on_complete() {
+    fn timer_is_stored_and_returned_on_complete() {
         let mut t = RpcTable::new();
         let plain = t.register("no-deadline");
-        let dl = SimTime::from_nanos(5_000);
-        let timed = t.register_with_deadline("timed", dl);
-        assert_eq!(t.deadline(plain), None);
-        assert_eq!(t.deadline(timed), Some(dl));
-        assert_eq!(t.complete(timed), Some("timed"));
-        assert_eq!(t.deadline(timed), None);
+        let timed = t.register("timed");
+        t.arm_timer(timed, key(5));
+        assert_eq!(t.timer(plain), None);
+        assert_eq!(t.timer(timed), Some(key(5)));
+        assert_eq!(t.complete_with_timer(plain), Some(("no-deadline", None)));
+        assert_eq!(t.complete_with_timer(timed), Some(("timed", Some(key(5)))));
+        assert_eq!(t.timer(timed), None);
         // A duplicate (late) response after the deadline bookkeeping is
         // still idempotent.
-        assert_eq!(t.complete(timed), None);
+        assert_eq!(t.complete_with_timer(timed), None);
+        // Arming a completed request is a no-op.
+        t.arm_timer(timed, key(6));
+        assert_eq!(t.timer(timed), None);
     }
 
     #[test]
@@ -183,7 +200,8 @@ mod tests {
         // The reliability layer relies on this: a retransmitted response
         // completing twice must be a no-op the second time.
         let mut t = RpcTable::new();
-        let id = t.register_with_deadline(7u32, SimTime::from_nanos(100));
+        let id = t.register(7u32);
+        t.arm_timer(id, key(1));
         assert_eq!(t.complete(id), Some(7));
         for _ in 0..3 {
             assert_eq!(t.complete(id), None);
@@ -191,11 +209,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_clears_deadlines() {
+    fn drain_forgets_timers() {
         let mut t = RpcTable::new();
-        let id = t.register_with_deadline((), SimTime::from_nanos(9));
-        let _ = t.drain();
-        assert_eq!(t.deadline(id), None);
+        let id = t.register(());
+        t.arm_timer(id, key(9));
+        assert_eq!(t.drain(), vec![(id, ())]);
+        assert_eq!(t.timer(id), None);
     }
 
     #[test]

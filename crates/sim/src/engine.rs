@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::queue::CalendarQueue;
+use crate::queue::{CalendarQueue, TimerKey};
 use crate::time::SimTime;
 
 thread_local! {
@@ -153,6 +153,37 @@ impl<E> Scheduler<'_, E> {
     pub fn at(&mut self, at: SimTime, event: E) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
         self.stage(at.max(self.now), event);
+    }
+
+    /// Schedules `event` at an absolute time, like [`Scheduler::at`], and
+    /// returns a key that [`Scheduler::cancel`] accepts when the event is
+    /// far enough ahead to wait in the queue's overflow tier (beyond
+    /// [`crate::queue::RING_WINDOW_NS`] of the queue's window). A nearer
+    /// event is scheduled as usual and gets no key: it will fire.
+    ///
+    /// The event takes its seq like any other and always goes into the
+    /// queue, never the chain fast-path slot (a candidate already held
+    /// there is flushed first, as a second staged event would flush it),
+    /// so scheduling it this way instead of with [`Scheduler::at`] changes
+    /// no firing order.
+    pub fn at_cancellable(&mut self, at: SimTime, event: E) -> Option<TimerKey> {
+        debug_assert!(at >= self.now, "cannot schedule into the past");
+        let at = at.max(self.now);
+        let seq = *self.seq;
+        *self.seq += 1;
+        if let Some((a, s, e)) = self.first.take() {
+            self.overflowed = true;
+            self.queue.push(a, s, e);
+        }
+        self.queue.push_cancellable(at, seq, event)
+    }
+
+    /// Cancels an event scheduled with [`Scheduler::at_cancellable`]: it
+    /// will not fire, and [`Simulator::pending`] no longer counts it.
+    /// Returns false for a stale key (the event already fired, or moved
+    /// where it can no longer be cancelled); nothing else changes then.
+    pub fn cancel(&mut self, key: TimerKey) -> bool {
+        self.queue.cancel(key)
     }
 
     /// Schedules `event` to fire immediately (at the current time, after all
@@ -585,6 +616,81 @@ mod tests {
         assert_eq!(st, StopCondition::QueueEmpty);
         assert_eq!(r.order.len(), 10);
         assert_eq!(sim.now(), SimTime::from_nanos(90));
+    }
+
+    /// On `Tag(0)`: parks `Tag(1)` and `Tag(2)` far ahead, cancels
+    /// `Tag(1)`, and stops when `stop` is set.
+    struct Canceller {
+        fired: Vec<u32>,
+        stop: bool,
+    }
+
+    const FAR: SimTime = SimTime::from_nanos(1_000_000);
+
+    impl Handler<Ev> for Canceller {
+        fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
+            let Ev::Tag(n) = ev;
+            self.fired.push(n);
+            if n == 0 {
+                let k1 = sched.at_cancellable(now + FAR, Ev::Tag(1)).expect("far");
+                sched.at_cancellable(now + FAR + SimTime::from_nanos(1), Ev::Tag(2));
+                assert!(sched.cancel(k1));
+                assert!(!sched.cancel(k1), "second cancel is a no-op");
+                if self.stop {
+                    sched.request_stop();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cancelled_event_never_fires_and_is_not_pending() {
+        let mut sim = Simulator::new();
+        sim.schedule(SimTime::ZERO, Ev::Tag(0));
+        let mut h = Canceller {
+            fired: Vec::new(),
+            stop: false,
+        };
+        assert_eq!(sim.run(&mut h), StopCondition::QueueEmpty);
+        assert_eq!(h.fired, vec![0, 2]);
+        assert_eq!(sim.now(), FAR + SimTime::from_nanos(1));
+
+        let mut sim = Simulator::new();
+        sim.schedule(SimTime::ZERO, Ev::Tag(0));
+        h = Canceller {
+            fired: Vec::new(),
+            stop: true,
+        };
+        assert_eq!(sim.run(&mut h), StopCondition::Requested);
+        assert_eq!(sim.pending(), 1, "the cancelled event is not pending");
+        assert_eq!(
+            sim.drain(),
+            vec![(FAR + SimTime::from_nanos(1), Ev::Tag(2))],
+            "drain skips the cancelled event"
+        );
+    }
+
+    #[test]
+    fn near_cancellable_event_is_queued_in_order() {
+        // `Tag(5)` is held as the chain candidate; a nearer cancellable
+        // event must flush it and fire first. In-window events get no key.
+        struct Near(Vec<(u64, u32)>);
+        impl Handler<Ev> for Near {
+            fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
+                let Ev::Tag(n) = ev;
+                self.0.push((now.as_nanos(), n));
+                if n == 0 {
+                    sched.after(SimTime::from_nanos(100), Ev::Tag(5));
+                    let key = sched.at_cancellable(now + SimTime::from_nanos(50), Ev::Tag(6));
+                    assert!(key.is_none(), "in-window events are not cancellable");
+                }
+            }
+        }
+        let mut sim = Simulator::new();
+        sim.schedule(SimTime::ZERO, Ev::Tag(0));
+        let mut h = Near(Vec::new());
+        sim.run(&mut h);
+        assert_eq!(h.0, vec![(0, 0), (50, 6), (100, 5)]);
     }
 
     #[test]

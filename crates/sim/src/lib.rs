@@ -57,7 +57,7 @@ pub use parallel::{
     current_parallel_meter, effective_sim_threads, run_partitioned, set_sim_threads, sim_threads,
     with_parallel_meter, ParallelMeter, ParallelOutcome, Partition,
 };
-pub use queue::CalendarQueue;
+pub use queue::{CalendarQueue, TimerKey};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, Summary, TimeSeries, TimeWeightedMean};
 pub use time::SimTime;

@@ -22,6 +22,19 @@
 //!   and once into its ring bucket. Events migrate ring-ward (at most once
 //!   each) as the cursor advances.
 //!
+//! # Cancellation
+//!
+//! An event parked in the overflow tier can be cancelled through the
+//! [`TimerKey`] that [`CalendarQueue::push_cancellable`] returned: its
+//! payload leaves the slab at once and its heap key stays behind as a
+//! tombstone, skipped (and its slot freed) when it reaches the heap top.
+//! Once tombstones outnumber live keys the heap is rebuilt without them,
+//! so it stays O(live). Cancelling assigns no seq and moves no other
+//! event, so every remaining event fires in the same `(time, seq)` order.
+//! An event that was pushed into the ring, or has since migrated there,
+//! is not cancellable: [`CalendarQueue::cancel`] returns false and the
+//! event fires as pushed.
+//!
 //! Same-time bursts land in one bucket in `seq` order (pushes carry
 //! monotonically increasing seqs), so extraction of the common
 //! whole-bucket-one-instant group is a single `mem::swap` — no per-element
@@ -66,6 +79,22 @@ struct Pending<E> {
     event: E,
 }
 
+/// An overflow-slab slot: the seq of the event that last occupied it and
+/// its payload, `None` once the event migrated ring-ward or was cancelled.
+struct Parked<E> {
+    seq: u64,
+    event: Option<E>,
+}
+
+/// Names an event parked in the overflow tier so it can be cancelled (see
+/// [`CalendarQueue::cancel`]): its slab slot and its seq. Seqs are unique,
+/// so a slot that no longer holds that seq tells a stale key apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerKey {
+    slot: u32,
+    seq: u64,
+}
+
 /// A two-tier calendar queue ordering events by `(time, seq)`.
 ///
 /// See the [module docs](self) for the architecture. Used by
@@ -98,13 +127,17 @@ pub struct CalendarQueue<E> {
     ring_len: usize,
     /// Keys of far-future events (beyond the ring window at push time):
     /// `(time, seq, slot)`, the payload parked at `slab[slot]`. Seqs are
-    /// unique, so the slot never decides an ordering.
+    /// unique, so the slot never decides an ordering. A key whose slot
+    /// lost its payload to [`CalendarQueue::cancel`] is a tombstone; the
+    /// top key is never one.
     overflow: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Payloads of the overflow tier's events; `None` slots are free and
-    /// listed in `free`.
-    slab: Vec<Option<E>>,
+    /// Payloads of the overflow tier's events. A slot is free (and listed
+    /// in `free`) once its key has left the heap.
+    slab: Vec<Parked<E>>,
     /// Free `slab` slots, reused before the slab grows.
     free: Vec<u32>,
+    /// Tombstone keys still in `overflow`.
+    tombstones: usize,
     /// Total queued events across head, ring and overflow.
     len: usize,
     /// Cached `(time, seq)` of the next event; `None` means "recompute on
@@ -146,6 +179,7 @@ impl<E> std::fmt::Debug for CalendarQueue<E> {
             .field("head", &(self.head.len() - self.head_next))
             .field("ring", &self.ring_len)
             .field("overflow", &self.overflow.len())
+            .field("tombstones", &self.tombstones)
             .field("cursor_day", &self.cursor_day)
             .finish()
     }
@@ -164,6 +198,7 @@ impl<E> CalendarQueue<E> {
             overflow: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
+            tombstones: 0,
             len: 0,
             next_key: None,
         }
@@ -183,13 +218,7 @@ impl<E> CalendarQueue<E> {
     /// ties in `at` fire in `seq` order.
     #[inline]
     pub fn push(&mut self, at: SimTime, seq: u64, event: E) {
-        self.len += 1;
-        self.next_key = match self.next_key {
-            Some(k) if k <= (at, seq) => Some(k),
-            Some(_) => Some((at, seq)),
-            None if self.len == 1 => Some((at, seq)),
-            None => None,
-        };
+        self.count_push(at, seq);
         // `at >= head_at` needs nothing special: the new event carries the
         // largest live seq, so it fires after every head event and can wait
         // in the ring/overflow like any other.
@@ -209,6 +238,86 @@ impl<E> CalendarQueue<E> {
             self.occupied[idx / 64] |= 1 << (idx % 64);
         } else {
             self.push_slow(Pending { at, seq, event });
+        }
+    }
+
+    /// Counts a pushed event and keeps the cached minimum current.
+    #[inline]
+    fn count_push(&mut self, at: SimTime, seq: u64) {
+        self.len += 1;
+        self.next_key = match self.next_key {
+            Some(k) if k <= (at, seq) => Some(k),
+            Some(_) => Some((at, seq)),
+            None if self.len == 1 => Some((at, seq)),
+            None => None,
+        };
+    }
+
+    /// Like [`CalendarQueue::push`], but an event beyond the ring window
+    /// is parked in the overflow tier under a [`TimerKey`] that
+    /// [`CalendarQueue::cancel`] accepts. An in-window event is pushed as
+    /// usual and is not cancellable (`None`).
+    pub fn push_cancellable(&mut self, at: SimTime, seq: u64, event: E) -> Option<TimerKey> {
+        if day_of(at) < self.cursor_day + NBUCKETS as u64 {
+            self.push(at, seq, event);
+            return None;
+        }
+        // Beyond the window, so later than every extracted head event: no
+        // spill needed.
+        self.count_push(at, seq);
+        Some(TimerKey {
+            slot: self.park(Pending { at, seq, event }),
+            seq,
+        })
+    }
+
+    /// Cancels the parked event `key` names, dropping its payload. Returns
+    /// false, and touches nothing, when the key is stale: the event already
+    /// migrated to the ring or fired, was cancelled before, or its slot now
+    /// holds another event.
+    pub fn cancel(&mut self, key: TimerKey) -> bool {
+        let Some(p) = self.slab.get_mut(key.slot as usize) else {
+            return false;
+        };
+        if p.seq != key.seq || p.event.take().is_none() {
+            return false;
+        }
+        self.tombstones += 1;
+        self.len -= 1;
+        if self.next_key.is_some_and(|(_, seq)| seq == key.seq) {
+            self.next_key = None;
+        }
+        self.skim();
+        if self.tombstones > self.overflow.len() - self.tombstones {
+            // Rebuild without tombstones: each rebuild removes more than
+            // half the heap, so the cost is O(1) amortised per cancel.
+            let (slab, free) = (&self.slab, &mut self.free);
+            self.overflow.retain(|&Reverse((_, _, slot))| {
+                let live = slab[slot as usize].event.is_some();
+                if !live {
+                    free.push(slot);
+                }
+                live
+            });
+            self.tombstones = 0;
+        }
+        true
+    }
+
+    /// Pops tombstones off the overflow top, freeing their slots, so the
+    /// top key is always a live event.
+    #[inline]
+    fn skim(&mut self) {
+        if self.tombstones == 0 {
+            return;
+        }
+        while let Some(&Reverse((_, _, slot))) = self.overflow.peek() {
+            if self.slab[slot as usize].event.is_some() {
+                break;
+            }
+            self.overflow.pop();
+            self.free.push(slot);
+            self.tombstones -= 1;
         }
     }
 
@@ -310,20 +419,25 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Moves an event into the overflow tier: payload into a slab slot,
-    /// key onto the heap.
-    fn park(&mut self, p: Pending<E>) {
+    /// key onto the heap. Returns the slot.
+    fn park(&mut self, p: Pending<E>) -> u32 {
+        let parked = Parked {
+            seq: p.seq,
+            event: Some(p.event),
+        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = Some(p.event);
+                self.slab[slot as usize] = parked;
                 slot
             }
             None => {
                 let slot = u32::try_from(self.slab.len()).expect("overflow slab exceeds u32 slots");
-                self.slab.push(Some(p.event));
+                self.slab.push(parked);
                 slot
             }
         };
         self.overflow.push(Reverse((p.at, p.seq, slot)));
+        slot
     }
 
     /// Moves the ring window back so it starts at `day`. Rare (see
@@ -361,8 +475,12 @@ impl<E> CalendarQueue<E> {
                     break;
                 }
                 self.overflow.pop();
-                let event = self.slab[slot as usize].take().expect("parked slot");
+                let event = self.slab[slot as usize]
+                    .event
+                    .take()
+                    .expect("the overflow top is live");
                 self.free.push(slot);
+                self.skim();
                 let idx = (day_of(at) & DAY_MASK) as usize;
                 self.buckets[idx].push(Pending { at, seq, event });
                 self.ring_len += 1;
@@ -551,7 +669,70 @@ mod tests {
             q.slab.len(),
             "every slot back on the free list"
         );
-        assert!(q.slab.iter().all(Option::is_none));
+        assert!(q.slab.iter().all(|p| p.event.is_none()));
+    }
+
+    #[test]
+    fn stale_keys_are_refused_and_leave_the_slot_alone() {
+        let span = RING_WINDOW_NS;
+        let mut q = CalendarQueue::new();
+        // In-window: pushed into the ring, no key.
+        assert!(q.push_cancellable(SimTime::from_nanos(10), 0, 0).is_none());
+        let fired = q
+            .push_cancellable(SimTime::from_nanos(3 * span), 1, 1)
+            .expect("far events park");
+        let migrated = q
+            .push_cancellable(SimTime::from_nanos(3 * span + 8), 2, 2)
+            .expect("far events park");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 0, 0)));
+        // Reaching 3·span migrates both parked events into the ring and
+        // fires the first.
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(3 * span), 1, 1)));
+        assert!(!q.cancel(fired), "already fired");
+        assert!(!q.cancel(migrated), "migrated to the ring");
+        // A new parked event reuses a freed slot; the old keys naming that
+        // slot must not touch it.
+        let reused = q
+            .push_cancellable(SimTime::from_nanos(9 * span), 3, 3)
+            .expect("far events park");
+        assert!(reused.slot == fired.slot || reused.slot == migrated.slot);
+        assert!(!q.cancel(fired) && !q.cancel(migrated));
+        assert_eq!(q.len(), 2);
+        assert_eq!(drain(&mut q), vec![(3 * span + 8, 2, 2), (9 * span, 3, 3)]);
+        assert!(!q.cancel(reused), "already fired");
+    }
+
+    #[test]
+    fn cancel_compacts_tombstones_and_keeps_pop_order() {
+        let span = RING_WINDOW_NS;
+        let mut q = CalendarQueue::new();
+        // Later seqs fire earlier, so the heap top is the last push.
+        let at = |i: u64| SimTime::from_nanos(2 * span + 1000 * (100 - i));
+        let keys: Vec<TimerKey> = (0..100u64)
+            .map(|i| q.push_cancellable(at(i), i, i as u32).expect("parked"))
+            .collect();
+        for (i, &k) in keys.iter().enumerate() {
+            if i % 7 != 0 {
+                assert!(q.cancel(k));
+                assert!(!q.cancel(k), "double cancel");
+                assert!(
+                    q.tombstones <= q.overflow.len() - q.tombstones,
+                    "tombstones never outnumber live keys"
+                );
+            }
+        }
+        assert_eq!(q.len(), 15);
+        assert!(q.overflow.len() <= 30);
+        // The cached minimum followed the cancelled top.
+        assert_eq!(q.peek(), Some((at(98), 98)));
+        let want: Vec<(u64, u64, u32)> = (0..100u64)
+            .rev()
+            .filter(|i| i % 7 == 0)
+            .map(|i| (at(i).as_nanos(), i, i as u32))
+            .collect();
+        assert_eq!(drain(&mut q), want);
+        assert_eq!((q.overflow.len(), q.tombstones), (0, 0));
+        assert_eq!(q.free.len(), q.slab.len(), "every slot freed");
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! replays many generated cases from a fixed seed, keeping runs
 //! reproducible bit-for-bit.
 
+use std::cell::Cell;
+
 use popcorn_sim::queue::RING_WINDOW_NS;
 use popcorn_sim::{
     CalendarQueue, Handler, Histogram, Scheduler, SimRng, SimTime, Simulator, StopCondition,
+    TimerKey,
 };
 
 /// The calendar queue's near-future window. Time ranges below are drawn
@@ -177,26 +180,44 @@ impl<E> ReferenceQueue<E> {
             Some(self.items.remove(0))
         }
     }
+
+    /// Removes the event with sequence number `seq`; true if it was queued.
+    fn remove(&mut self, seq: u64) -> bool {
+        let before = self.items.len();
+        self.items.retain(|&(_, s, _)| s != seq);
+        self.items.len() != before
+    }
 }
 
 /// The calendar queue agrees op-for-op with the sorted-reference oracle
-/// over randomized push/peek/pop interleavings: same-time bursts (some
-/// larger than the entire ring of buckets), far-future times that route
-/// through the overflow heap, and pushes earlier than everything still
-/// queued (the retreat / head-spill paths).
+/// over randomized push/peek/pop/cancel interleavings: same-time bursts
+/// (some larger than the entire ring of buckets), far-future times that
+/// route through the overflow heap, pushes earlier than everything still
+/// queued (the retreat / head-spill paths), and cancellation of far
+/// pushes. A cancel the queue accepts removes the same event from the
+/// oracle; a refused one (the event fired or migrated ring-ward) leaves
+/// both alone.
 #[test]
 fn calendar_queue_matches_sorted_reference() {
     let mut rng = SimRng::new(0x5EED_0006);
+    let (mut accepted, mut refused) = (0u32, 0u32);
     for case in 0..256 {
         let mut real: CalendarQueue<u64> = CalendarQueue::new();
         let mut oracle: ReferenceQueue<u64> = ReferenceQueue::new();
-        let mut seq = 0u64;
-        let mut push =
-            |real: &mut CalendarQueue<u64>, oracle: &mut ReferenceQueue<u64>, at: u64| {
-                real.push(SimTime::from_nanos(at), seq, seq);
-                oracle.push(at, seq, seq);
-                seq += 1;
-            };
+        let mut keys: Vec<(TimerKey, u64)> = Vec::new();
+        // Shared with the push closure: cancellable pushes draw from the
+        // same monotonic counter, as they do in the engine.
+        let seq = Cell::new(0u64);
+        let next_seq = || {
+            let s = seq.get();
+            seq.set(s + 1);
+            s
+        };
+        let push = |real: &mut CalendarQueue<u64>, oracle: &mut ReferenceQueue<u64>, at: u64| {
+            let s = next_seq();
+            real.push(SimTime::from_nanos(at), s, s);
+            oracle.push(at, s, s);
+        };
 
         // A same-time tie group larger than one ring of buckets, every
         // eighth case: 1300 events at a single instant (the ring has 1024
@@ -212,7 +233,7 @@ fn calendar_queue_matches_sorted_reference() {
         let ops = rng.range_u64(50, 600);
         let mut burst_at = rng.range_u64(0, WINDOW / 4);
         for _ in 0..ops {
-            match rng.index(8) {
+            match rng.index(10) {
                 // Near-future push (inside the ring window).
                 0 | 1 => {
                     let at = rng.range_u64(0, WINDOW / 2);
@@ -231,6 +252,26 @@ fn calendar_queue_matches_sorted_reference() {
                 3 => {
                     let at = rng.range_u64(WINDOW, 12 * WINDOW);
                     push(&mut real, &mut oracle, at);
+                }
+                // Cancellable push, far or near; only a parked one gets a
+                // key.
+                8 => {
+                    let (at, s) = (rng.range_u64(0, 12 * WINDOW), next_seq());
+                    let key = real.push_cancellable(SimTime::from_nanos(at), s, s);
+                    oracle.push(at, s, s);
+                    keys.extend(key.map(|k| (k, s)));
+                }
+                // Cancel a key handed out earlier (possibly stale).
+                9 if !keys.is_empty() => {
+                    let (key, s) = keys[rng.index(keys.len())];
+                    if real.cancel(key) {
+                        assert!(oracle.remove(s), "cancelled a fired event (case {case})");
+                        accepted += 1;
+                    } else {
+                        refused += 1;
+                    }
+                    assert!(!real.cancel(key), "double cancel succeeded");
+                    assert_eq!(real.len(), oracle.items.len());
                 }
                 // Push earlier than the current minimum (retreat/spill).
                 4 => {
@@ -265,6 +306,11 @@ fn calendar_queue_matches_sorted_reference() {
         assert!(real.is_empty());
         assert_eq!(real.len(), 0);
     }
+    // Both outcomes of a cancel were exercised.
+    assert!(
+        accepted > 100 && refused > 100,
+        "{accepted} accepted, {refused} refused"
+    );
 }
 
 /// Chain workload for the engine-level oracle: every event may stage
