@@ -15,10 +15,7 @@ use popcorn_kernel::program::{Op, ProgEnv, Program, Resume};
 use popcorn_kernel::types::{GroupId, PageNo, Tid, VAddr};
 use popcorn_msg::{KernelId, RpcId};
 use popcorn_sim::queue::RING_WINDOW_NS;
-use popcorn_sim::{
-    run_partitioned, CalendarQueue, Handler, Histogram, Partition, Scheduler, SimRng, SimTime,
-    Simulator,
-};
+use popcorn_sim::{CalendarQueue, Handler, Histogram, Scheduler, SimRng, SimTime, Simulator};
 
 #[derive(Debug)]
 enum Ev {
@@ -201,142 +198,6 @@ fn bench_lock_sites(c: &mut Criterion) {
     });
 }
 
-/// A partition for the conservative barrier-epoch engine: each of the
-/// `n` partitions walks a local event chain at fixed `spacing` and, every
-/// `cross_every` events (0 = never), forwards the token to the next
-/// partition `hop` nanoseconds out instead. `hop` doubles as the
-/// lookahead, so every cross-send lands at or beyond the current epoch
-/// boundary — the conservative guarantee.
-struct EpochPart {
-    idx: usize,
-    n: usize,
-    spacing: u64,
-    hop: u64,
-    cross_every: u32,
-    sim: Simulator<u32>,
-    last_fire: SimTime,
-}
-
-struct EpochHandler<'a> {
-    idx: usize,
-    n: usize,
-    spacing: u64,
-    hop: u64,
-    cross_every: u32,
-    cross: &'a mut Vec<(usize, SimTime, u32)>,
-    last_fire: &'a mut SimTime,
-}
-
-impl Handler<u32> for EpochHandler<'_> {
-    fn handle(&mut self, now: SimTime, remaining: u32, sched: &mut Scheduler<'_, u32>) {
-        *self.last_fire = now;
-        if remaining == 0 {
-            return;
-        }
-        if self.cross_every != 0 && remaining.is_multiple_of(self.cross_every) {
-            self.cross.push((
-                (self.idx + 1) % self.n,
-                now + SimTime::from_nanos(self.hop),
-                remaining - 1,
-            ));
-        } else {
-            sched.after(SimTime::from_nanos(self.spacing), remaining - 1);
-        }
-    }
-}
-
-impl Partition for EpochPart {
-    type Event = u32;
-    fn next_time(&mut self) -> Option<SimTime> {
-        self.sim.next_time()
-    }
-    fn enqueue(&mut self, at: SimTime, event: u32) {
-        self.sim.schedule(at, event);
-    }
-    fn run_window(&mut self, upto: SimTime, cross: &mut Vec<(usize, SimTime, u32)>) -> u64 {
-        let before = self.sim.events_processed();
-        let mut h = EpochHandler {
-            idx: self.idx,
-            n: self.n,
-            spacing: self.spacing,
-            hop: self.hop,
-            cross_every: self.cross_every,
-            cross,
-            last_fire: &mut self.last_fire,
-        };
-        // `run_until` horizons are inclusive; the window bound is exclusive.
-        self.sim
-            .run_until(&mut h, SimTime::from_nanos(upto.as_nanos() - 1), u64::MAX);
-        self.sim.events_processed() - before
-    }
-    fn now(&self) -> SimTime {
-        self.last_fire
-    }
-}
-
-fn epoch_parts(
-    n: usize,
-    per_part: u32,
-    spacing: u64,
-    hop: u64,
-    cross_every: u32,
-) -> Vec<EpochPart> {
-    (0..n)
-        .map(|idx| {
-            let mut sim = Simulator::new();
-            // Stagger starts so no two partitions tick at the same instant.
-            sim.schedule(SimTime::from_nanos(idx as u64), per_part);
-            EpochPart {
-                idx,
-                n,
-                spacing,
-                hop,
-                cross_every,
-                sim,
-                last_fire: SimTime::ZERO,
-            }
-        })
-        .collect()
-}
-
-/// The conservative epoch scheduler (`run_partitioned`) in its two cost
-/// regimes, at a fixed 80k events over 4 partitions. Compute-dominated: a
-/// lookahead wider than the whole run and no cross traffic — one epoch,
-/// measuring the window-execution floor plus fixed barrier setup.
-/// Barrier-dominated: a lookahead of four event spacings with a
-/// cross-send every 16 events — thousands of tiny epochs, measuring the
-/// per-epoch cost (min-reduction, two barriers, mailbox drain). One
-/// worker thread, so the numbers isolate scheduler overhead rather than
-/// contention, and the bench stays honest on single-core hosts.
-fn bench_epoch_scheduler(c: &mut Criterion) {
-    const PARTS: usize = 4;
-    const PER_PART: u32 = 20_000;
-    const SPACING: u64 = 10;
-    let horizon = SimTime::from_millis(100);
-
-    c.bench_function("engine/epoch_compute_dominated_80k", |b| {
-        b.iter(|| {
-            let mut parts = epoch_parts(PARTS, PER_PART, SPACING, 1_000_000, 0);
-            let out = run_partitioned(&mut parts, SimTime::from_millis(1), horizon, u64::MAX, 1);
-            black_box((out.events, out.epochs))
-        })
-    });
-
-    c.bench_function("engine/epoch_barrier_dominated_80k", |b| {
-        b.iter(|| {
-            let mut parts = epoch_parts(PARTS, PER_PART, SPACING, 4 * SPACING, 16);
-            let out = run_partitioned(
-                &mut parts,
-                SimTime::from_nanos(4 * SPACING),
-                horizon,
-                u64::MAX,
-                1,
-            );
-            black_box((out.events, out.epochs))
-        })
-    });
-}
-
 /// Alternates a store to one of 4 resident pages with a short compute,
 /// `ops` operations in all, then exits.
 #[derive(Debug)]
@@ -512,7 +373,6 @@ criterion_group!(
     bench_rng,
     bench_histogram,
     bench_lock_sites,
-    bench_epoch_scheduler,
     bench_run_core,
     bench_mm_transfer,
     bench_directory,

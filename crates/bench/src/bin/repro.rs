@@ -7,15 +7,13 @@
 //! repro all --json out/     # also dump each table as JSON
 //! repro all --jobs 8        # host threads for independent simulations
 //! repro all --serial        # force fully serial execution
-//! repro all --sim-threads 4 # partition opted-in simulations internally
 //! ```
 //!
-//! All runs are deterministic and seeded, so neither `--jobs N` (host
-//! threads across independent simulations) nor `--sim-threads N`
-//! (conservative partitioned execution *inside* opted-in simulations)
-//! changes a single virtual-time result — the tables (and `--json` files)
-//! are byte-identical to a `--serial` run. The numbers printed here are
-//! the ones recorded in EXPERIMENTS.md.
+//! Every simulation is single-threaded, deterministic and seeded, so
+//! `--jobs N` (host threads across independent simulations) changes no
+//! virtual-time result: the tables (and `--json` files) are byte-identical
+//! to a `--serial` run. The numbers printed here are the ones recorded in
+//! EXPERIMENTS.md.
 //!
 //! Each invocation that runs experiments also records simulator
 //! self-metrics (host wall-clock, events processed, events/sec per
@@ -30,7 +28,7 @@ use popcorn_bench::cli::{self, Mode};
 use popcorn_bench::experiments::all_experiments;
 use popcorn_bench::rig::{perf_json, ExperimentPerf};
 use popcorn_bench::{parallel_map, set_jobs, Table};
-use popcorn_sim::{with_event_sink, with_parallel_meter};
+use popcorn_sim::with_event_sink;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,7 +43,6 @@ fn main() {
         }
     };
     set_jobs(cli.jobs_setting());
-    popcorn_sim::set_sim_threads(cli.sim_threads_setting());
 
     match cli.mode {
         Mode::List => {
@@ -94,15 +91,12 @@ fn main() {
     let run_started = Instant::now();
     let runs: Vec<(Table, ExperimentPerf)> = parallel_map(work, |(id, f)| {
         let sink = Arc::new(AtomicU64::new(0));
-        let meter = Arc::new(popcorn_sim::ParallelMeter::default());
         let started = Instant::now();
-        let table = with_event_sink(sink.clone(), || with_parallel_meter(meter.clone(), f));
+        let table = with_event_sink(sink.clone(), f);
         let perf = ExperimentPerf {
             id,
             wall: started.elapsed(),
             events: sink.load(Ordering::Relaxed),
-            epochs: meter.epochs.load(Ordering::Relaxed),
-            barrier_wait_nanos: meter.barrier_wait_nanos.load(Ordering::Relaxed),
         };
         (table, perf)
     });
@@ -129,19 +123,13 @@ fn main() {
     let perf_path = "BENCH_repro.json";
     std::fs::write(
         perf_path,
-        perf_json(
-            popcorn_bench::jobs(),
-            popcorn_sim::sim_threads(),
-            total_wall,
-            &perfs,
-        ),
+        perf_json(popcorn_bench::jobs(), total_wall, &perfs),
     )
     .expect("write perf json");
     println!(
-        "({} experiments in {:.1}s host time at --jobs {} --sim-threads {}; self-metrics in {perf_path})",
+        "({} experiments in {:.1}s host time at --jobs {}; self-metrics in {perf_path})",
         perfs.len(),
         total_wall.as_secs_f64(),
-        popcorn_bench::jobs(),
-        popcorn_sim::sim_threads()
+        popcorn_bench::jobs()
     );
 }

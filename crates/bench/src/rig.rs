@@ -73,12 +73,10 @@ where
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let sink = popcorn_sim::current_event_sink();
-    let meter = popcorn_sim::current_parallel_meter();
     std::thread::scope(|s| {
         for _ in 0..workers {
             let (slots, results, next, f) = (&slots, &results, &next, &f);
             let sink = sink.clone();
-            let meter = meter.clone();
             s.spawn(move || {
                 let work = || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -92,10 +90,6 @@ where
                         .expect("each item claimed exactly once");
                     let r = f(item);
                     *results[i].lock().expect("result slot poisoned") = Some(r);
-                };
-                let work = || match &meter {
-                    Some(m) => popcorn_sim::with_parallel_meter(m.clone(), work),
-                    None => work(),
                 };
                 match sink {
                     Some(sink) => popcorn_sim::with_event_sink(sink, work),
@@ -125,12 +119,6 @@ pub struct ExperimentPerf {
     pub wall: Duration,
     /// Simulation events processed across every run of the experiment.
     pub events: u64,
-    /// Barrier epochs executed by the partitioned engine across every run
-    /// of the experiment (0 when everything ran on the serial engine).
-    pub epochs: u64,
-    /// Host nanoseconds the partitioned engine's workers spent waiting at
-    /// epoch barriers, summed over workers (0 on the serial engine).
-    pub barrier_wait_nanos: u64,
 }
 
 impl ExperimentPerf {
@@ -154,12 +142,7 @@ impl ExperimentPerf {
 /// Each entry records `wall_nanos` — the exact integer measurement — next
 /// to the human-friendly millisecond-rounded `wall_secs`; `events_per_sec`
 /// is always computed from the unrounded duration.
-pub fn perf_json(
-    jobs: usize,
-    sim_threads: usize,
-    total_wall: Duration,
-    perfs: &[ExperimentPerf],
-) -> String {
+pub fn perf_json(jobs: usize, total_wall: Duration, perfs: &[ExperimentPerf]) -> String {
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -168,21 +151,18 @@ pub fn perf_json(
         .iter()
         .map(|p| {
             format!(
-                "    {{\n      \"id\": \"{}\",\n      \"wall_secs\": {:.3},\n      \"wall_nanos\": {},\n      \"events\": {},\n      \"events_per_sec\": {:.0},\n      \"sim_epochs\": {},\n      \"sim_barrier_wait_nanos\": {}\n    }}",
+                "    {{\n      \"id\": \"{}\",\n      \"wall_secs\": {:.3},\n      \"wall_nanos\": {},\n      \"events\": {},\n      \"events_per_sec\": {:.0}\n    }}",
                 p.id,
                 p.wall.as_secs_f64(),
                 p.wall.as_nanos(),
                 p.events,
-                p.events_per_sec(),
-                p.epochs,
-                p.barrier_wait_nanos
+                p.events_per_sec()
             )
         })
         .collect();
     format!(
-        "{{\n  \"bench\": \"repro\",\n  \"jobs\": {},\n  \"sim_threads\": {},\n  \"host_parallelism\": {},\n  \"total_wall_secs\": {:.3},\n  \"total_wall_nanos\": {},\n  \"total_events\": {},\n  \"experiments\": [\n{}\n  ]\n}}",
+        "{{\n  \"bench\": \"repro\",\n  \"jobs\": {},\n  \"host_parallelism\": {},\n  \"total_wall_secs\": {:.3},\n  \"total_wall_nanos\": {},\n  \"total_events\": {},\n  \"experiments\": [\n{}\n  ]\n}}",
         jobs,
-        sim_threads,
         host,
         total_wall.as_secs_f64(),
         total_wall.as_nanos(),
@@ -229,12 +209,6 @@ pub struct Rig {
     pub horizon: SimTime,
     /// Event budget (livelock guard).
     pub event_budget: u64,
-    /// Opts the Popcorn model into the partitioned parallel engine when
-    /// `popcorn_sim::sim_threads() > 1` (`--sim-threads N`). Only set on
-    /// experiments whose workloads keep per-group protocol state on the
-    /// group's home kernel; the partition gate and merge collision panics
-    /// in `popcorn-core` enforce the claim. Baselines always run serially.
-    pub parallel_sim: bool,
 }
 
 impl Default for Rig {
@@ -245,7 +219,6 @@ impl Default for Rig {
             popcorn: PopcornParams::default(),
             horizon: SimTime::from_secs(300),
             event_budget: 200_000_000,
-            parallel_sim: false,
         }
     }
 }
@@ -273,7 +246,6 @@ impl Rig {
                     .topology(self.topology)
                     .kernels(self.kernels)
                     .popcorn_params(self.popcorn.clone())
-                    .parallel_sim(self.parallel_sim)
                     .build(),
             ),
             OsKind::Smp => Box::new(SmpOs::builder().topology(self.topology).build()),
@@ -378,8 +350,6 @@ mod tests {
             id: "e2".into(),
             wall: Duration::from_nanos(361_400),
             events: 2308,
-            epochs: 0,
-            barrier_wait_nanos: 0,
         };
         let rate = p.events_per_sec();
         assert!((rate - 6_386_275.594).abs() < 1.0, "rate = {rate}");
@@ -388,8 +358,6 @@ mod tests {
             id: "z".into(),
             wall: Duration::ZERO,
             events: 10,
-            epochs: 0,
-            barrier_wait_nanos: 0,
         };
         assert_eq!(z.events_per_sec(), 0.0);
     }
@@ -400,10 +368,8 @@ mod tests {
             id: "e1".into(),
             wall: Duration::from_nanos(412_345),
             events: 1000,
-            epochs: 12,
-            barrier_wait_nanos: 345,
         }];
-        let json = perf_json(1, 4, Duration::from_nanos(412_345), &perfs);
+        let json = perf_json(1, Duration::from_nanos(412_345), &perfs);
         // The rounded view quantizes to zero...
         assert!(json.contains("\"wall_secs\": 0.000"), "{json}");
         // ...but the exact measurement and the rate derived from it do not.
@@ -411,10 +377,6 @@ mod tests {
         assert!(json.contains("\"events_per_sec\": 2425154"), "{json}");
         assert!(json.contains("\"total_wall_nanos\": 412345"), "{json}");
         assert!(json.contains("\"total_events\": 1000"), "{json}");
-        // The partitioned-engine self-metrics ride along.
-        assert!(json.contains("\"sim_threads\": 4"), "{json}");
-        assert!(json.contains("\"sim_epochs\": 12"), "{json}");
-        assert!(json.contains("\"sim_barrier_wait_nanos\": 345"), "{json}");
     }
 
     #[test]

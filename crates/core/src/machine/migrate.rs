@@ -284,11 +284,6 @@ impl KernelCtx<'_, '_> {
     /// stops counting as load, which herds every later spawn onto the
     /// same kernel.)
     pub(super) fn least_loaded_kernel(&mut self) -> usize {
-        assert!(
-            self.part.is_none(),
-            "Auto placement consumes a machine-global cursor and cannot run \
-             inside a partitioned simulation"
-        );
         let i = *self.auto_cursor % self.kernels.len();
         *self.auto_cursor += 1;
         i

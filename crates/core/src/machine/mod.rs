@@ -61,7 +61,6 @@ pub mod futex;
 pub mod group;
 pub mod migrate;
 pub mod page;
-pub mod partition;
 pub mod policy;
 pub mod recovery;
 pub mod replica;
@@ -261,9 +260,6 @@ pub struct PopcornMachine {
     /// report when the workload actually finished rather than when the
     /// last of those drained from the queue.
     last_activity: SimTime,
-    /// Partition link when this machine is one partition of a parallel
-    /// run (`None` in serial runs — see [`partition`]).
-    part: Option<partition::PartitionCtl>,
     /// Crash-recovery state (dormant unless crashes are planned — see
     /// [`recovery`]).
     recovery: recovery::RecoveryCtl,
@@ -313,7 +309,6 @@ impl PopcornMachine {
             policy,
             telemetry,
             last_activity: SimTime::ZERO,
-            part: None,
             recovery: recovery::RecoveryCtl::new(n),
             stats: PopStats::default(),
         }
@@ -386,7 +381,6 @@ impl PopcornMachine {
             policy: &mut self.policy,
             telemetry: &mut self.telemetry,
             last_activity: &mut self.last_activity,
-            part: self.part.as_mut(),
             recovery: &mut self.recovery,
             stats: &mut self.stats,
             sched,
@@ -480,8 +474,6 @@ pub struct KernelCtx<'m, 'e> {
     pub telemetry: &'m mut policy::Telemetry,
     /// Virtual time of the last event that did real work.
     pub last_activity: &'m mut SimTime,
-    /// Partition link when running as one partition of a parallel run.
-    pub part: Option<&'m mut partition::PartitionCtl>,
     /// Crash-recovery state (see [`recovery`]).
     pub recovery: &'m mut recovery::RecoveryCtl,
     /// Protocol statistics.

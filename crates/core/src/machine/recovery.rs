@@ -58,9 +58,7 @@ use super::{
     PopEvent, PopMsg, PopcornMachine,
 };
 
-/// Per-machine crash-recovery state. One instance per [`PopcornMachine`];
-/// partitions of a parallel run get fresh (inert) ones, which is correct
-/// because the partition gate excludes fault plans entirely.
+/// Per-machine crash-recovery state, one instance per [`PopcornMachine`].
 #[derive(Debug)]
 pub struct RecoveryCtl {
     /// Whether detection timers were scheduled for this run. False means

@@ -87,19 +87,6 @@ impl KernelCtx<'_, '_> {
         delivery: Delivery<ProtoMsg>,
         duplicate_at: Option<SimTime>,
     ) {
-        // Partitioned run: a delivery addressed to a foreign kernel leaves
-        // this partition through the epoch mailbox instead of the local
-        // queue (duplicates only exist under fault injection, which the
-        // partition gate excludes).
-        if let Some(ctl) = self.part.as_deref_mut() {
-            let dest = delivery.to.0 as usize;
-            if dest != ctl.ki {
-                debug_assert!(duplicate_at.is_none());
-                ctl.outbox
-                    .push((dest, delivery.deliver_at, OsEvent::Custom(delivery)));
-                return;
-            }
-        }
         if let Some(dup_at) = duplicate_at {
             if let Some(copy) = delivery.payload.try_clone() {
                 self.sched.at(

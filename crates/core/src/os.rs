@@ -46,7 +46,6 @@ pub struct PopcornOsBuilder {
     os: OsParams,
     msg: MsgParams,
     pop: PopcornParams,
-    parallel: bool,
 }
 
 impl Default for PopcornOsBuilder {
@@ -59,7 +58,6 @@ impl Default for PopcornOsBuilder {
             os: OsParams::default(),
             msg: MsgParams::default(),
             pop: PopcornParams::default(),
-            parallel: false,
         }
     }
 }
@@ -111,17 +109,6 @@ impl PopcornOsBuilder {
         self
     }
 
-    /// Opts this model into the partitioned parallel engine. The run only
-    /// actually parallelizes when `popcorn_sim::sim_threads() > 1` and the
-    /// configuration passes the partition-safety gate (see
-    /// `machine::partition`); otherwise the serial engine runs as always.
-    /// Callers opting in assert that the workload keeps per-group state
-    /// kernel-local (no spanning groups touching remote page/VMA service).
-    pub fn parallel_sim(mut self, on: bool) -> Self {
-        self.parallel = on;
-        self
-    }
-
     /// Builds the OS model.
     ///
     /// # Panics
@@ -169,7 +156,6 @@ impl PopcornOsBuilder {
             machine: PopcornMachine::new(kernels, fabric, machine, self.pop),
             topology: self.topology,
             next_home: 0,
-            parallel: self.parallel,
         }
     }
 }
@@ -183,7 +169,6 @@ pub struct PopcornOs {
     machine: PopcornMachine,
     topology: Topology,
     next_home: usize,
-    parallel: bool,
 }
 
 impl PopcornOs {
@@ -248,22 +233,8 @@ impl OsModel for PopcornOs {
     }
 
     fn run_with(&mut self, horizon: SimTime, event_budget: u64) -> RunReport {
-        let threads = popcorn_sim::sim_threads();
-        let (stop, events, now) = if self.parallel && threads > 1 && self.machine.partition_safe() {
-            let threads = popcorn_sim::effective_sim_threads();
-            let initial = self.sim.drain();
-            let outcome = self
-                .machine
-                .run_parallel(initial, horizon, event_budget, threads);
-            (
-                outcome.stop,
-                self.sim.events_processed() + outcome.events,
-                outcome.now,
-            )
-        } else {
-            let stop = self.sim.run_until(&mut self.machine, horizon, event_budget);
-            (stop, self.sim.events_processed(), self.sim.now())
-        };
+        let stop = self.sim.run_until(&mut self.machine, horizon, event_budget);
+        let now = self.sim.now();
         // Global invariant check on every completed run (the queue fully
         // drained, so any inconsistency is permanent, not in flight).
         if self.machine.params().check_invariants && stop == StopCondition::QueueEmpty {
@@ -349,7 +320,7 @@ impl OsModel for PopcornOs {
             finished_at,
             exited_tasks: exited,
             stuck_tasks: osmodel::stuck_tasks(kernels),
-            events,
+            events: self.sim.events_processed(),
             stop,
             metrics,
         }

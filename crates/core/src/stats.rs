@@ -276,107 +276,9 @@ impl HomeServiceAgg {
         self.busy_ns_max = self.busy_ns_max.max(busy_ns);
         self.busy_ns_sum += busy_ns;
     }
-
-    /// Accumulates a partition's aggregate (sums and maxes — both
-    /// commutative, so merge order cannot change the result).
-    pub fn absorb(&mut self, other: &HomeServiceAgg) {
-        self.servers += other.servers;
-        self.peak_depth = self.peak_depth.max(other.peak_depth);
-        self.depth_hist.merge(&other.depth_hist);
-        self.depth_tw_mean_max = self.depth_tw_mean_max.max(other.depth_tw_mean_max);
-        self.busy_ns_max = self.busy_ns_max.max(other.busy_ns_max);
-        self.busy_ns_sum += other.busy_ns_sum;
-    }
-}
-
-impl ProtoCounters {
-    /// Accumulates another family's counters (partition merge-back).
-    fn absorb(&mut self, other: &ProtoCounters) {
-        self.msgs_out.add(other.msgs_out.get());
-        self.msgs_in.add(other.msgs_in.get());
-        self.rpcs_issued.add(other.rpcs_issued.get());
-        self.rpcs_completed.add(other.rpcs_completed.get());
-        self.crash_drops.add(other.crash_drops.get());
-        self.service.merge(&other.service);
-    }
 }
 
 impl PopStats {
-    /// Accumulates a partition's statistics into this whole-run view.
-    ///
-    /// Every field is a sum (counters) or a bucket-wise union (histograms),
-    /// both commutative and association-free, so merging per-partition
-    /// stats in any order reproduces the serial run's values exactly.
-    pub fn absorb(&mut self, other: &PopStats) {
-        self.migrations_first.add(other.migrations_first.get());
-        self.migrations_back.add(other.migrations_back.get());
-        self.migration_first_lat.merge(&other.migration_first_lat);
-        self.migration_back_lat.merge(&other.migration_back_lat);
-        self.faults_local.add(other.faults_local.get());
-        self.faults_remote_read.add(other.faults_remote_read.get());
-        self.faults_remote_write
-            .add(other.faults_remote_write.get());
-        self.fault_local_lat.merge(&other.fault_local_lat);
-        self.fault_remote_read_lat
-            .merge(&other.fault_remote_read_lat);
-        self.fault_remote_write_lat
-            .merge(&other.fault_remote_write_lat);
-        self.page_transfers.add(other.page_transfers.get());
-        self.invalidations.add(other.invalidations.get());
-        self.rmw_local.add(other.rmw_local.get());
-        self.rmw_remote.add(other.rmw_remote.get());
-        self.futex_local.add(other.futex_local.get());
-        self.futex_remote.add(other.futex_remote.get());
-        self.clone_local.add(other.clone_local.get());
-        self.clone_remote.add(other.clone_remote.get());
-        self.clone_remote_lat.merge(&other.clone_remote_lat);
-        self.vma_local.add(other.vma_local.get());
-        self.vma_remote.add(other.vma_remote.get());
-        self.vma_fetches.add(other.vma_fetches.get());
-        self.retransmits.add(other.retransmits.get());
-        self.retx_backoff_ns.add(other.retx_backoff_ns.get());
-        self.msgs_abandoned.add(other.msgs_abandoned.get());
-        self.msgs_lost_raw.add(other.msgs_lost_raw.get());
-        self.dup_suppressed.add(other.dup_suppressed.get());
-        self.acks_sent.add(other.acks_sent.get());
-        self.rpc_timeouts.add(other.rpc_timeouts.get());
-        self.migrations_aborted.add(other.migrations_aborted.get());
-        self.ops_failed.add(other.ops_failed.get());
-        self.fault_kills.add(other.fault_kills.get());
-        self.policy_migrations.add(other.policy_migrations.get());
-        self.steal_reqs.add(other.steal_reqs.get());
-        self.policy_steals.add(other.policy_steals.get());
-        self.wake_chases.add(other.wake_chases.get());
-        self.policy_redirects.add(other.policy_redirects.get());
-        self.telemetry_reports.add(other.telemetry_reports.get());
-        self.kernels_declared_dead
-            .add(other.kernels_declared_dead.get());
-        self.fenced_msgs.add(other.fenced_msgs.get());
-        self.orphans_killed.add(other.orphans_killed.get());
-        self.pages_promoted.add(other.pages_promoted.get());
-        self.pages_lost.add(other.pages_lost.get());
-        self.futex_recovered.add(other.futex_recovered.get());
-        self.rpcs_failed_over.add(other.rpcs_failed_over.get());
-        self.recovery_pages_scanned
-            .add(other.recovery_pages_scanned.get());
-        self.recovery_latency.merge(&other.recovery_latency);
-        self.replica_local_walks
-            .add(other.replica_local_walks.get());
-        self.replica_remote_walks
-            .add(other.replica_remote_walks.get());
-        self.replica_installs.add(other.replica_installs.get());
-        self.replica_updates.add(other.replica_updates.get());
-        self.replica_evictions.add(other.replica_evictions.get());
-        self.shard_delegated_pages
-            .add(other.shard_delegated_pages.get());
-        self.shard_escalations.add(other.shard_escalations.get());
-        self.shard_forwards.add(other.shard_forwards.get());
-        self.home_service.absorb(&other.home_service);
-        for &p in Protocol::ALL.iter() {
-            self.proto.of(p).absorb(other.proto.get(p));
-        }
-    }
-
     /// Total histogram-bucket saturations across every latency/service
     /// histogram — non-zero means some recorded value exceeded a
     /// histogram's range; such samples are kept out of quantile

@@ -66,30 +66,6 @@ impl FutexTable {
         FutexTable::default()
     }
 
-    /// True when no word has ever been written and no waiter is parked.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty() && self.queues.is_empty()
-    }
-
-    /// Merges another table into this one (reassembling a machine from
-    /// simulation partitions). Words and queues are keyed by (group, addr)
-    /// and each group is served by exactly one kernel, so the key sets must
-    /// be disjoint — a collision means two partitions both served the same
-    /// word and the run is invalid.
-    pub fn absorb(&mut self, other: FutexTable) {
-        for (k, v) in other.words {
-            let clash = self.words.insert(k, v);
-            assert!(clash.is_none(), "futex word {k:?} served by two partitions");
-        }
-        for (k, q) in other.queues {
-            let clash = self.queues.insert(k, q);
-            assert!(
-                clash.is_none(),
-                "futex queue {k:?} served by two partitions"
-            );
-        }
-    }
-
     /// Reads a word (0 if never written).
     pub fn read(&self, group: GroupId, addr: VAddr) -> u64 {
         self.words.get(&(group, addr.0)).copied().unwrap_or(0)

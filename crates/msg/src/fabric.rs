@@ -114,7 +114,7 @@ impl<P> SendOutcome<P> {
 }
 
 /// Per-ordered-pair channel state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Channel {
     /// When the ring accepts the next message (transmit serialization).
     tx_free_at: SimTime,
@@ -135,7 +135,7 @@ struct Channel {
 /// fabric lossy: sends may be dropped, delayed or duplicated,
 /// deterministically from the plan's seed. The default plan injects nothing
 /// and adds no work to the send path.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Fabric {
     params: MsgParams,
     /// Representative core of each kernel (where its message handler runs);
@@ -143,12 +143,6 @@ pub struct Fabric {
     locations: Vec<CoreId>,
     /// Hop latency between kernel pairs, precomputed from the interconnect.
     hop: Vec<SimTime>,
-    /// Minimum hop latency over all distinct kernel pairs, cached at
-    /// construction (single-kernel fabrics have no pairs: zero). Consumers
-    /// needing the conservative-parallel-DES lookahead use
-    /// [`Fabric::lookahead`], which adds the fixed send/notify/receive
-    /// software floors.
-    min_hop: SimTime,
     /// IPI notification latency (or expected polling delay).
     notify: SimTime,
     channels: FastMap<(KernelId, KernelId), Channel>,
@@ -175,17 +169,10 @@ impl Fabric {
         }
         let n = locations.len();
         let mut hop = vec![SimTime::ZERO; n * n];
-        let mut min_hop = SimTime::MAX;
         for (i, &a) in locations.iter().enumerate() {
             for (j, &b) in locations.iter().enumerate() {
                 hop[i * n + j] = machine.interconnect().core_to_core(a, b);
-                if i != j {
-                    min_hop = min_hop.min(hop[i * n + j]);
-                }
             }
-        }
-        if n == 1 {
-            min_hop = SimTime::ZERO;
         }
         let notify = if params.ipi_notify {
             machine.shootdown().ipi_latency() + machine.shootdown().ipi_handler_cost()
@@ -201,7 +188,6 @@ impl Fabric {
             params,
             locations,
             hop,
-            min_hop,
             notify,
             channels: FastMap::default(),
             total_sends: Counter::new(),
@@ -227,69 +213,6 @@ impl Fabric {
     fn hop_latency(&self, from: KernelId, to: KernelId) -> SimTime {
         let n = self.locations.len();
         self.hop[from.0 as usize * n + to.0 as usize]
-    }
-
-    /// Minimum hop latency over all distinct kernel pairs, cached at
-    /// construction. Zero for single-kernel fabrics (no pairs).
-    pub fn min_hop_latency(&self) -> SimTime {
-        self.min_hop
-    }
-
-    /// The conservative-parallel-DES lookahead: a lower bound on the
-    /// delivery latency of *any* cross-kernel message. No send can be seen
-    /// by its receiver earlier than `send time + lookahead`, so partitions
-    /// of a parallel simulation may safely advance `lookahead` past the
-    /// global minimum next-event time between synchronizations.
-    ///
-    /// Derivation: every send pays at least the send-software cost plus one
-    /// envelope cache line on the ring, the minimum inter-kernel hop, the
-    /// notification latency (IPI or expected polling delay), and the
-    /// receive-software cost. Fault injection only ever *adds* delay
-    /// (`extra_delay >= 0`) and the per-channel FIFO floor only pushes
-    /// deliveries later, so this floor also holds under an active plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric connects more than one kernel and the derived
-    /// lookahead is zero — a zero lookahead would make conservative
-    /// parallel windows empty, and cannot happen with validated parameters
-    /// (the software costs alone are positive).
-    pub fn lookahead(&self) -> SimTime {
-        let floor = SimTime::from_nanos(self.params.send_sw_ns + self.params.per_line_ns)
-            + self.min_hop
-            + self.notify
-            + SimTime::from_nanos(self.params.recv_sw_ns);
-        assert!(
-            self.locations.len() < 2 || !floor.is_zero(),
-            "multi-kernel fabric must have a positive lookahead"
-        );
-        floor
-    }
-
-    /// Folds the traffic recorded by `shard` — a fabric that started as a
-    /// pristine clone of this one and carried a disjoint subset of the
-    /// sender channels — back into this fabric, so post-run reporting sees
-    /// exactly what a single fabric carrying all the traffic would have.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` holds a channel this fabric (or a previously
-    /// absorbed shard) also holds: overlapping channels mean two partitions
-    /// both sent on the same ordered kernel pair, which violates the
-    /// partitioning contract (each partition sends only from its own
-    /// kernels).
-    pub fn absorb_shard(&mut self, shard: Fabric) {
-        self.total_sends.add(shard.total_sends.get());
-        self.latency_hist.merge(&shard.latency_hist);
-        for (key, ch) in shard.channels {
-            let clash = self.channels.insert(key, ch);
-            assert!(
-                clash.is_none(),
-                "channel {}->{} recorded by two partitions",
-                key.0,
-                key.1
-            );
-        }
     }
 
     /// Sends `payload` from `from` to `to` at virtual time `now`; returns
@@ -798,92 +721,6 @@ mod tests {
         assert!(f.is_crashed(KernelId(1), at));
         assert!(!f.is_crashed(KernelId(0), at));
         assert_eq!(f.fault_counters().crash_drops, 2);
-    }
-
-    #[test]
-    fn cached_min_hop_equals_brute_force_on_asymmetric_interconnect() {
-        // Three kernels spread unevenly over two sockets: 0 and 2 share a
-        // socket (short hop), 4 sits across the interconnect (long hop) —
-        // the hop matrix is non-uniform, so the cached minimum must be the
-        // true minimum over all ordered pairs, not just any entry.
-        let machine = Machine::new(Topology::new(2, 4), HwParams::default());
-        let locs = vec![CoreId(0), CoreId(2), CoreId(4)];
-        let f = Fabric::new(&machine, locs.clone(), MsgParams::default());
-        let mut brute = SimTime::MAX;
-        let mut distinct = std::collections::BTreeSet::new();
-        for &a in &locs {
-            for &b in &locs {
-                if a != b {
-                    let h = machine.interconnect().core_to_core(a, b);
-                    brute = brute.min(h);
-                    distinct.insert(h.as_nanos());
-                }
-            }
-        }
-        assert!(distinct.len() > 1, "interconnect should be asymmetric");
-        assert_eq!(f.min_hop_latency(), brute);
-    }
-
-    #[test]
-    fn lookahead_lower_bounds_every_delivery() {
-        let mut f = fabric(4);
-        let la = f.lookahead();
-        assert!(la > SimTime::ZERO);
-        // Hammer one channel so the FIFO floor engages, plus a cross pair.
-        for i in 0..20u64 {
-            let now = SimTime::from_nanos(i * 130);
-            let d = f
-                .send(now, KernelId(0), KernelId(1), Blob(64 + i as usize))
-                .expect_delivered();
-            assert!(d.deliver_at >= now + la, "delivery beat the lookahead");
-            let d2 = f
-                .send(now, KernelId(2), KernelId(3), Blob(64))
-                .expect_delivered();
-            assert!(d2.deliver_at >= now + la);
-        }
-    }
-
-    #[test]
-    fn single_kernel_fabric_has_zero_min_hop() {
-        let machine = Machine::new(Topology::new(1, 2), HwParams::default());
-        let f = Fabric::new(&machine, vec![CoreId(0)], MsgParams::default());
-        assert_eq!(f.min_hop_latency(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn absorb_shard_reassembles_counters_and_channels() {
-        let mut whole = fabric(4);
-        let _ = whole.send(SimTime::ZERO, KernelId(0), KernelId(1), Blob(64));
-        let _ = whole.send(SimTime::ZERO, KernelId(2), KernelId(3), Blob(256));
-
-        let base = fabric(4);
-        let mut shard_a = base.clone();
-        let mut shard_b = base.clone();
-        let _ = shard_a.send(SimTime::ZERO, KernelId(0), KernelId(1), Blob(64));
-        let _ = shard_b.send(SimTime::ZERO, KernelId(2), KernelId(3), Blob(256));
-        let mut merged = base;
-        merged.absorb_shard(shard_a);
-        merged.absorb_shard(shard_b);
-
-        assert_eq!(merged.total_sends(), whole.total_sends());
-        assert_eq!(
-            merged.latency_histogram().summary(),
-            whole.latency_histogram().summary()
-        );
-        assert_eq!(merged.channel_stats(), whole.channel_stats());
-    }
-
-    #[test]
-    #[should_panic(expected = "recorded by two partitions")]
-    fn absorb_shard_rejects_overlapping_channels() {
-        let base = fabric(2);
-        let mut a = base.clone();
-        let mut b = base.clone();
-        let _ = a.send(SimTime::ZERO, KernelId(0), KernelId(1), Blob(64));
-        let _ = b.send(SimTime::ZERO, KernelId(0), KernelId(1), Blob(64));
-        let mut merged = base;
-        merged.absorb_shard(a);
-        merged.absorb_shard(b);
     }
 
     #[test]

@@ -259,7 +259,7 @@ impl FaultCounters {
 }
 
 /// Live injection state owned by the fabric when a plan is active.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct FaultRuntime {
     pub(crate) plan: FaultPlan,
     rng: SimRng,

@@ -271,25 +271,6 @@ impl<E> Simulator<E> {
         self.queue.len()
     }
 
-    /// The fire time of the earliest pending event, if any. (`&mut` because
-    /// the calendar queue may rotate buckets to find its minimum.)
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        self.queue.peek().map(|(at, _)| at)
-    }
-
-    /// Removes and returns every pending event in `(time, seq)` firing
-    /// order. The clock and sequence counter are untouched, so events
-    /// re-scheduled elsewhere in the returned order reproduce the original
-    /// tie-breaking. The parallel engine uses this to deal a simulation's
-    /// initial events out to per-partition queues.
-    pub fn drain(&mut self) -> Vec<(SimTime, E)> {
-        let mut out = Vec::with_capacity(self.queue.len());
-        while let Some((at, _seq, ev)) = self.queue.pop() {
-            out.push((at, ev));
-        }
-        out
-    }
-
     /// Schedules an event at absolute time `at` (clamped to now).
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let at = at.max(self.now);
@@ -663,11 +644,9 @@ mod tests {
         };
         assert_eq!(sim.run(&mut h), StopCondition::Requested);
         assert_eq!(sim.pending(), 1, "the cancelled event is not pending");
-        assert_eq!(
-            sim.drain(),
-            vec![(FAR + SimTime::from_nanos(1), Ev::Tag(2))],
-            "drain skips the cancelled event"
-        );
+        assert_eq!(sim.run(&mut h), StopCondition::QueueEmpty);
+        assert_eq!(h.fired, vec![0, 2], "running out skips the cancelled event");
+        assert_eq!(sim.now(), FAR + SimTime::from_nanos(1));
     }
 
     #[test]

@@ -43,7 +43,6 @@
 
 pub mod engine;
 pub mod hash;
-pub mod parallel;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -53,11 +52,13 @@ pub use engine::{
     current_event_sink, with_event_sink, Handler, Scheduler, Simulator, StopCondition,
 };
 pub use hash::{FastHasher, FastMap, FastSet};
-pub use parallel::{
-    current_parallel_meter, effective_sim_threads, run_partitioned, set_sim_threads, sim_threads,
-    with_parallel_meter, ParallelMeter, ParallelOutcome, Partition,
-};
 pub use queue::{CalendarQueue, TimerKey};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, Summary, TimeSeries, TimeWeightedMean};
 pub use time::SimTime;
+
+/// Worker threads inside one simulation. The engine is serial, so this is
+/// always 1; it stays for callers that report which engine ran.
+pub fn sim_threads() -> usize {
+    1
+}

@@ -5,10 +5,11 @@
 //! offline, so no external property-testing framework).
 
 use popcorn::baselines::{MultikernelOs, SmpOs};
-use popcorn::core::PopcornOs;
+use popcorn::core::{PopcornOs, PopcornParams};
 use popcorn::hw::Topology;
 use popcorn::kernel::osmodel::{OsModel, RunReport};
 use popcorn::kernel::program::{Placement, Program};
+use popcorn::msg::{FaultPlan, MsgParams};
 use popcorn::sim::SimRng;
 use popcorn::workloads::micro;
 use popcorn::workloads::npb::{self, NpbConfig};
@@ -18,6 +19,25 @@ fn run_popcorn(kernels: u16, program: Box<dyn Program>) -> RunReport {
     let mut os = PopcornOs::builder()
         .topology(Topology::new(2, 4))
         .kernels(kernels)
+        .build();
+    os.load(program);
+    os.run()
+}
+
+fn run_popcorn_with(
+    kernels: u16,
+    pop: PopcornParams,
+    faults: FaultPlan,
+    program: Box<dyn Program>,
+) -> RunReport {
+    let mut os = PopcornOs::builder()
+        .topology(Topology::new(2, 4))
+        .kernels(kernels)
+        .popcorn_params(pop)
+        .msg_params(MsgParams {
+            faults,
+            ..MsgParams::default()
+        })
         .build();
     os.load(program);
     os.run()
@@ -170,4 +190,88 @@ fn spawn_storms_account_exactly() {
         assert_eq!(r.exited_tasks as usize, children + 1);
         assert_eq!(r.metric("spawned") as usize, children + 1);
     }
+}
+
+/// Every legal combination of the protocol feature gates (home sharding,
+/// page-table replication with and without first-fault seeding,
+/// first-touch sync-word homing, eager VMA replication), with and without
+/// 1% message loss, runs random page-bouncing teams to a clean finish
+/// under the invariant audit and exits exactly as many tasks as the
+/// all-gates-off run. Sharding × replication is skipped: `validate()`
+/// rejects that pair.
+#[test]
+fn combined_feature_gates_complete_cleanly() {
+    let mut gates = Vec::new();
+    for (sharding, replication, first_fault) in [
+        (false, false, false),
+        (true, false, false),
+        (false, true, false),
+        (false, true, true),
+    ] {
+        for first_touch in [false, true] {
+            for eager_vma in [false, true] {
+                gates.push(PopcornParams {
+                    home_sharding: sharding,
+                    page_table_replication: replication,
+                    replicate_on_first_fault: first_fault,
+                    sync_first_touch_homing: first_touch,
+                    eager_vma_replication: eager_vma,
+                    check_invariants: true,
+                    ..PopcornParams::default()
+                });
+            }
+        }
+    }
+    // Evidence that each gate and the loss plan actually engaged.
+    let (mut drops, mut delegated, mut replica_installs) = (0.0, 0.0, 0.0);
+    let mut rng = SimRng::new(0x5EED_6006);
+    for _ in 0..24 {
+        let threads = rng.range_u64(1, 10) as usize;
+        let iters = rng.range_u64(1, 12) as u32;
+        let pages = rng.range_u64(1, 6);
+        let kernels = rng.range_u64(2, 5) as u16;
+        let seed = rng.next_u64();
+        let make = || {
+            Team::boxed(
+                TeamConfig::new(threads, pages * 4096),
+                Box::new(move |i, shared| {
+                    Box::new(micro::PageBounceWorker::new(
+                        shared.data,
+                        pages,
+                        iters,
+                        i as u64,
+                    ))
+                }),
+            )
+        };
+        let base = run_popcorn_with(kernels, gates[0].clone(), FaultPlan::none(), make());
+        assert!(base.is_clean(), "gates off stuck: {:?}", base.stuck_tasks);
+        for pop in &gates {
+            for faults in [FaultPlan::none(), FaultPlan::uniform_drop(seed, 0.01)] {
+                let lossy = faults.is_active();
+                let r = run_popcorn_with(kernels, pop.clone(), faults, make());
+                let cell = format!(
+                    "k={kernels} sharding={} replication={} first_fault={} \
+                     first_touch={} eager_vma={} lossy={lossy}",
+                    pop.home_sharding,
+                    pop.page_table_replication,
+                    pop.replicate_on_first_fault,
+                    pop.sync_first_touch_homing,
+                    pop.eager_vma_replication,
+                );
+                assert!(r.is_clean(), "{cell}: stuck {:?}", r.stuck_tasks);
+                assert_eq!(r.metric("segv"), 0.0, "{cell}");
+                assert_eq!(r.exited_tasks, base.exited_tasks, "{cell}");
+                drops += r.metric("drops_injected");
+                delegated += r.metric("shard_delegated_pages");
+                replica_installs += r.metric("replica_installs");
+            }
+        }
+    }
+    assert!(drops > 0.0, "the lossy plan never dropped a message");
+    assert!(delegated > 0.0, "home sharding never delegated a page");
+    assert!(
+        replica_installs > 0.0,
+        "replication never installed a replica"
+    );
 }
