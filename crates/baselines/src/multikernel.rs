@@ -35,7 +35,7 @@ use popcorn_kernel::task::BlockReason;
 use popcorn_kernel::types::{Errno, GroupId, PageNo, Tid, VAddr};
 use popcorn_msg::{
     Delivery, Endpoint, Fabric, KernelId, MsgParams, ReliableFabric, RetxPolicy, RpcId, SendPlan,
-    SeqEnvelope, Wire,
+    Wire,
 };
 use popcorn_sim::{Counter, FastMap, Handler, Scheduler, SimTime, Simulator};
 
@@ -142,40 +142,13 @@ pub enum MkMsg {
         /// Members the sender already killed.
         killed: u64,
     },
-    /// Reliable-delivery envelope required by the shared endpoint
-    /// substrate ([`SeqEnvelope`]). The baseline runs on a fault-free
-    /// fabric, so the endpoint takes its plain path and never actually
-    /// wraps a message in this.
-    Seq {
-        /// Per-channel sequence number.
-        seq: u64,
-        /// The wrapped payload.
-        inner: Box<MkMsg>,
-    },
 }
 
 impl Wire for MkMsg {
     fn wire_size(&self) -> usize {
         match self {
             MkMsg::SpawnReq { layout, .. } => 48 + 208 + layout.len() * 24,
-            MkMsg::Seq { inner, .. } => 8 + inner.wire_size(),
             _ => 48 + 16,
-        }
-    }
-}
-
-impl SeqEnvelope for MkMsg {
-    fn wrap_seq(seq: u64, inner: Self) -> Self {
-        MkMsg::Seq {
-            seq,
-            inner: Box::new(inner),
-        }
-    }
-
-    fn unwrap_seq(self) -> Result<(u64, Self), Self> {
-        match self {
-            MkMsg::Seq { seq, inner } => Ok((seq, *inner)),
-            other => Err(other),
         }
     }
 }
@@ -890,9 +863,6 @@ impl OsMachine for MultikernelMachine {
                 if empty {
                     self.reap(group);
                 }
-            }
-            MkMsg::Seq { .. } => {
-                unreachable!("the fault-free baseline never wraps messages in Seq")
             }
         }
     }

@@ -1,21 +1,25 @@
 //! Criterion benches for the simulation substrate itself: event queue,
-//! RNG, histogram, lock-site model, fabric, the kernel model's run loop
-//! and the page directory. These bound how large an experiment the
-//! harness can afford.
+//! RNG, histogram, lock-site model, the reliable transport, the kernel
+//! model's run loop and the page directory. These bound how large an
+//! experiment the harness can afford.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use popcorn_core::directory::{DirStep, Directory, PageRequest};
+use popcorn_core::proto::ProtoMsg;
+use popcorn_core::PopcornParams;
 use popcorn_hw::{CoreId, HwParams, Interconnect, LockSite, Machine, RwLockSite, Topology};
 use popcorn_kernel::kernel::{Kernel, RunOutcome};
 use popcorn_kernel::mm::{Mm, PageContents, PageState};
 use popcorn_kernel::params::OsParams;
-use popcorn_kernel::program::{Op, ProgEnv, Program, Resume};
+use popcorn_kernel::program::{Op, ProgEnv, Program, Resume, SysResult};
 use popcorn_kernel::types::{GroupId, PageNo, Tid, VAddr};
-use popcorn_msg::{KernelId, RpcId};
+use popcorn_msg::{Fabric, FaultPlan, KernelId, MsgParams, ReliableFabric, RpcId, SendPlan};
 use popcorn_sim::queue::RING_WINDOW_NS;
 use popcorn_sim::{CalendarQueue, Handler, Histogram, Scheduler, SimRng, SimTime, Simulator};
+use popcorn_workloads::adversarial::PinnedBouncer;
+use popcorn_workloads::team::SignalingWorker;
 
 #[derive(Debug)]
 enum Ev {
@@ -222,27 +226,54 @@ impl Program for StoreCompute {
     }
 }
 
+/// One kernel with a single core and `pages` resident exclusive pages of
+/// one group: returns the kernel, the group and the pages' base.
+fn resident_kernel(pages: u64) -> (Kernel, GroupId, VAddr) {
+    let machine = Machine::new(Topology::new(1, 1), HwParams::default());
+    let mut k = Kernel::new(KernelId(0), vec![CoreId(0)], OsParams::default(), machine);
+    let group = GroupId(k.alloc_tid());
+    let mut mm = Mm::new(group);
+    let base = mm.map_anon(pages * VAddr::PAGE_SIZE).expect("map");
+    for p in 0..pages {
+        mm.install_zero_page(base.add(p * VAddr::PAGE_SIZE).page(), PageState::Exclusive);
+    }
+    k.adopt_mm(mm);
+    (k, group, base)
+}
+
+/// Runs the only task of `k` to its exit, answering every syscall and
+/// sync op with 0 at once.
+fn run_to_exit(k: &mut Kernel, core: CoreId) -> SimTime {
+    let mut now = SimTime::ZERO;
+    loop {
+        now = match k.run_core(now, core) {
+            RunOutcome::Busy { until } => until,
+            RunOutcome::Syscall { tid, at, .. } => {
+                k.finish_syscall(tid, SysResult::Val(0), at);
+                at
+            }
+            RunOutcome::SyncOp { tid, at, .. } => {
+                k.finish_sync_op(tid, 0, at);
+                at
+            }
+            RunOutcome::Exited { at, .. } => return at,
+            other => panic!("unexpected {other:?}"),
+        };
+    }
+}
+
 /// `Kernel::run_core`, the per-op hot loop every modelled instruction
-/// goes through: one kernel, one task, a store/compute loop over 4
-/// resident pages, no faults, reported per modelled op.
+/// goes through: one kernel, one task, no faults, reported per modelled
+/// op. The store/compute case steps a bare program; the team bouncer
+/// case steps a `PinnedBouncer` inside the `SignalingWorker` every team
+/// member runs in, the per-op path `lossy_cluster` spends its time on.
 fn bench_run_core(c: &mut Criterion) {
     const OPS: u64 = 65_536;
     let mut g = c.benchmark_group("kernel");
     g.throughput(Throughput::Elements(OPS));
     g.bench_function("run_core_store_compute_4pages_64k_ops", |b| {
         b.iter(|| {
-            let machine = Machine::new(Topology::new(1, 1), HwParams::default());
-            let mut k = Kernel::new(KernelId(0), vec![CoreId(0)], OsParams::default(), machine);
-            let group = GroupId(k.alloc_tid());
-            let mut mm = Mm::new(group);
-            let base = mm.map_anon(4 * VAddr::PAGE_SIZE).expect("map");
-            for p in 0..4 {
-                mm.install_zero_page(
-                    VAddr(base.0 + p * VAddr::PAGE_SIZE).page(),
-                    PageState::Exclusive,
-                );
-            }
-            k.adopt_mm(mm);
+            let (mut k, group, base) = resident_kernel(4);
             let tid = k.alloc_tid();
             let program = StoreCompute {
                 base,
@@ -250,14 +281,23 @@ fn bench_run_core(c: &mut Criterion) {
                 done: 0,
             };
             let core = k.spawn(tid, group, Box::new(program), None, SimTime::ZERO);
-            let mut now = SimTime::ZERO;
-            loop {
-                match k.run_core(now, core) {
-                    RunOutcome::Busy { until } => now = until,
-                    RunOutcome::Exited { at, .. } => break black_box(at),
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
+            black_box(run_to_exit(&mut k, core))
+        })
+    });
+    // A migrate syscall, then per round four stores and one compute, then
+    // the last four stores, the inner exit and the join signal's atomic
+    // add, futex wake and exit.
+    const ROUNDS: u32 = 13_106;
+    g.throughput(Throughput::Elements(5 * u64::from(ROUNDS) + 8));
+    g.bench_function("run_core_team_bouncer", |b| {
+        b.iter(|| {
+            let (mut k, group, base) = resident_kernel(5);
+            let tid = k.alloc_tid();
+            let bouncer = PinnedBouncer::new(KernelId(0), base, 4, ROUNDS, 50);
+            let join_word = base.add(4 * VAddr::PAGE_SIZE);
+            let worker = SignalingWorker::new(Box::new(bouncer), join_word);
+            let core = k.spawn(tid, group, Box::new(worker), None, SimTime::ZERO);
+            black_box(run_to_exit(&mut k, core))
         })
     });
     g.finish();
@@ -366,8 +406,43 @@ fn bench_queue_cancel(c: &mut Criterion) {
     assert_eq!(q.len(), 1_000);
 }
 
+/// One sequenced send through the reliable transport on a lossless but
+/// active fault plan, the receiver's duplicate check and its channel ack:
+/// the per-message transport cost under `lossy_cluster`.
+fn bench_transport(c: &mut Criterion) {
+    let machine = Machine::new(Topology::new(1, 2), HwParams::default());
+    let params = MsgParams {
+        faults: FaultPlan::uniform_drop(1, 0.0),
+        ..MsgParams::default()
+    };
+    let fabric = Fabric::new(&machine, vec![CoreId(0), CoreId(1)], params);
+    let policy = PopcornParams::default().retx_policy();
+    let mut net: ReliableFabric<ProtoMsg> = ReliableFabric::new(fabric, policy, true);
+    let (a, b) = (KernelId(0), KernelId(1));
+    let group = GroupId(Tid::new(a, 1));
+    let mut now = SimTime::ZERO;
+    c.bench_function("transport/sequenced_send_accept_ack", |bch| {
+        bch.iter(|| {
+            // Far enough apart that no send queues behind the last one.
+            now += SimTime::from_nanos(100_000);
+            let msg = ProtoMsg::PageDone {
+                group,
+                page: PageNo(5),
+            };
+            let SendPlan::Deliver { delivery, .. } = net.send(now, a, b, msg) else {
+                panic!("a lossless plan delivers");
+            };
+            assert!(net.accept(&delivery));
+            let ack = ProtoMsg::ChanAck { seq: delivery.seq };
+            let acked = net.fabric_mut().send(delivery.deliver_at, b, a, ack);
+            black_box(acked.expect_delivered())
+        })
+    });
+}
+
 criterion_group!(
     benches,
+    bench_transport,
     bench_event_loop,
     bench_queue_regimes,
     bench_rng,

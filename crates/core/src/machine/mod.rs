@@ -38,7 +38,7 @@
 //!  exit ─────► group::note_task_exited
 //!
 //!  custom (fabric delivery) ──► transport::receive
-//!       │ Seq{n}:      dedup (ReliableFabric::accept_seq) + ChanAck
+//!       │ seq header:  dedup (ReliableFabric::accept) + ChanAck
 //!       │ RetxTimer:   ReliableFabric::retransmit → apply_plan
 //!       │ RpcDeadline: fail the still-pending RPC
 //!       ▼
@@ -80,7 +80,7 @@ use popcorn_kernel::program::{Program, Resume, SysResult, SyscallReq};
 use popcorn_kernel::task::BlockReason;
 use popcorn_kernel::types::{Errno, GroupId, PageNo, Tid, VAddr};
 use popcorn_msg::{Delivery, Endpoint, Fabric, KernelId, KernelSet, ReliableFabric};
-use popcorn_sim::{Histogram, Scheduler, SimTime, TimeWeightedMean};
+use popcorn_sim::{FastMap, Histogram, Scheduler, SimTime, TimeWeightedMean};
 
 use crate::directory::PageRequest;
 use crate::group::GroupHome;
@@ -230,7 +230,7 @@ pub struct PopcornMachine {
     futex: FutexTable,
     sync_sites: BTreeMap<(GroupId, u64), LockSite>,
     rpcs: Vec<Endpoint<Pending>>,
-    inflight: Vec<BTreeMap<(GroupId, PageNo), page::InFlight>>,
+    inflight: Vec<FastMap<(GroupId, PageNo), page::InFlight>>,
     /// Per-group protocol service points (the per-mm protocol lock at the
     /// group's home, plus the replica-side update path).
     servers: BTreeMap<GroupId, KernelServers>,
@@ -299,7 +299,7 @@ impl PopcornMachine {
             futex: FutexTable::new(),
             sync_sites: BTreeMap::new(),
             rpcs: (0..n).map(|_| Endpoint::new()).collect(),
-            inflight: (0..n).map(|_| BTreeMap::new()).collect(),
+            inflight: (0..n).map(|_| FastMap::default()).collect(),
             servers: BTreeMap::new(),
             delegate_servers: BTreeMap::new(),
             sharding,
@@ -455,7 +455,7 @@ pub struct KernelCtx<'m, 'e> {
     /// Per-kernel RPC endpoints (request/response correlation).
     pub rpcs: &'m mut Vec<Endpoint<Pending>>,
     /// Per-kernel in-flight page requests (fault coalescing).
-    pub inflight: &'m mut Vec<BTreeMap<(GroupId, PageNo), page::InFlight>>,
+    pub inflight: &'m mut Vec<FastMap<(GroupId, PageNo), page::InFlight>>,
     /// Per-group protocol service points.
     pub servers: &'m mut BTreeMap<GroupId, KernelServers>,
     /// Delegate-side page service points (home sharding only).
@@ -583,7 +583,7 @@ impl KernelCtx<'_, '_> {
     }
 
     /// Dispatches one protocol message at its receiving kernel (after the
-    /// transport layer has unwrapped envelopes and filtered duplicates),
+    /// transport layer has consumed timers and filtered duplicates),
     /// charging it to its protocol family.
     pub fn dispatch(
         &mut self,
@@ -595,8 +595,7 @@ impl KernelCtx<'_, '_> {
     ) {
         self.stats.proto.of(payload.protocol()).msgs_in.incr();
         match payload {
-            ProtoMsg::Seq { .. }
-            | ProtoMsg::ChanAck { .. }
+            ProtoMsg::ChanAck { .. }
             | ProtoMsg::RetxTimer { .. }
             | ProtoMsg::RpcDeadline { .. }
             | ProtoMsg::PolicyTick

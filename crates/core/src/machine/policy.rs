@@ -91,6 +91,7 @@ impl PopcornMachine {
                 let msg = PopMsg {
                     from: kid,
                     to: kid,
+                    seq: 0,
                     deliver_at: at,
                     send_busy: SimTime::ZERO,
                     payload: ProtoMsg::PolicyTick,

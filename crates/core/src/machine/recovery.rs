@@ -147,6 +147,7 @@ impl PopcornMachine {
                     Delivery {
                         from: kid,
                         to: kid,
+                        seq: 0,
                         deliver_at: at,
                         send_busy: SimTime::ZERO,
                         payload: ProtoMsg::CrashDetect { victim: c.kernel },
@@ -187,12 +188,7 @@ impl PopcornMachine {
             if d.from != d.to {
                 self.stats.fenced_msgs.incr();
                 if !self.net.fabric().is_crashed(d.from, now) {
-                    let payload = match d.payload {
-                        ProtoMsg::Seq { inner, .. } => *inner,
-                        p => p,
-                    };
-                    let (from, to) = (d.from, d.to);
-                    self.ctx(sched).bounce_frozen(from, to, payload, now);
+                    self.ctx(sched).bounce_frozen(d.from, d.to, d.payload, now);
                 }
             }
         }

@@ -27,12 +27,13 @@
 //! is ever created: the flat home is byte-identical to a build without
 //! this module (the same inertness discipline as `page_table_replication`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use popcorn_hw::{Machine, SocketId};
 use popcorn_kernel::kernel::Kernel;
 use popcorn_kernel::types::{GroupId, PageNo};
 use popcorn_msg::KernelId;
+use popcorn_sim::FastMap;
 
 use crate::directory::Directory;
 
@@ -51,8 +52,10 @@ pub struct ShardCtl {
     socket_leads: Vec<Option<KernelId>>,
     /// Pages delegated away from their group's root home, and the delegate
     /// serving them. An entry exists only while a non-root delegate serves
-    /// the page; root-served pages are never listed.
-    pub map: BTreeMap<(GroupId, PageNo), KernelId>,
+    /// the page; root-served pages are never listed. A hash map: nothing
+    /// acts on its order (only the invariant audit walks it, to word its
+    /// failure messages).
+    pub map: FastMap<(GroupId, PageNo), KernelId>,
     /// Delegated pages marked for escalation after cross-socket traffic;
     /// drained (entry moved root-ward) when the page quiesces.
     pub escalate: BTreeSet<(GroupId, PageNo)>,
@@ -79,7 +82,7 @@ impl ShardCtl {
             enabled,
             kernel_socket,
             socket_leads,
-            map: BTreeMap::new(),
+            map: FastMap::default(),
             escalate: BTreeSet::new(),
         }
     }

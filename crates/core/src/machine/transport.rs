@@ -5,10 +5,11 @@
 //! retransmit backoff, abandonment) and returns a [`SendPlan`]; this module
 //! maps each plan onto scheduler events, runs the self-addressed timers
 //! (retransmits, RPC deadlines), performs receive-side duplicate
-//! suppression plus channel acks, and unwinds sender state for traffic
-//! that can never be delivered. Retransmissions and acks are charged to
-//! [`Protocol::Transport`], so per-family `msgs_out` totals sum to the
-//! fabric's send count.
+//! suppression on each delivery's sequence-number header
+//! ([`Delivery::seq`]) plus channel acks, and unwinds sender state for
+//! traffic that can never be delivered. Retransmissions and acks are
+//! charged to [`Protocol::Transport`], so per-family `msgs_out` totals sum
+//! to the fabric's send count.
 
 use popcorn_kernel::osmodel::OsEvent;
 use popcorn_kernel::program::SysResult;
@@ -89,14 +90,13 @@ impl KernelCtx<'_, '_> {
     ) {
         if let Some(dup_at) = duplicate_at {
             if let Some(copy) = delivery.payload.try_clone() {
+                // The duplicate carries its original's header.
                 self.sched.at(
                     dup_at,
                     OsEvent::Custom(Delivery {
-                        from: delivery.from,
-                        to: delivery.to,
                         deliver_at: dup_at,
-                        send_busy: delivery.send_busy,
                         payload: copy,
+                        ..delivery
                     }),
                 );
             }
@@ -117,6 +117,7 @@ impl KernelCtx<'_, '_> {
         OsEvent::Custom(Delivery {
             from: kid,
             to: kid,
+            seq: 0,
             deliver_at: at,
             send_busy: SimTime::ZERO,
             payload,
@@ -307,8 +308,8 @@ impl KernelCtx<'_, '_> {
     }
 
     /// The receive side of the event loop: consumes reliability-layer
-    /// traffic (timers, acks, sequence envelopes) and hands everything
-    /// else to [`KernelCtx::dispatch`].
+    /// traffic (timers, acks, sequence headers) and hands everything else
+    /// to [`KernelCtx::dispatch`].
     pub fn receive(&mut self, msg: PopMsg, now: SimTime) {
         let from = msg.from;
         let to = msg.to;
@@ -318,6 +319,34 @@ impl KernelCtx<'_, '_> {
         // not touch recovered state.
         if self.recovery.scheduled && from != to && self.recovery.declared[ki].contains(&from) {
             self.stats.fenced_msgs.incr();
+            return;
+        }
+        if msg.seq != 0 {
+            if !self.net.accept(&msg) {
+                self.stats.dup_suppressed.incr();
+                self.stats.proto.of(Protocol::Transport).msgs_in.incr();
+                return;
+            }
+            self.note_activity(now);
+            // Ack the sequence (unsequenced itself; a lost ack is
+            // harmless — see the ChanAck arm below).
+            self.stats.acks_sent.incr();
+            self.stats.proto.of(Protocol::Transport).msgs_out.incr();
+            let before = self.net.fabric().fault_counters().crash_drops;
+            let ack = ProtoMsg::ChanAck { seq: msg.seq };
+            match self.net.fabric_mut().send(now, to, from, ack) {
+                SendOutcome::Delivered {
+                    delivery,
+                    duplicate_at,
+                } => self.schedule_delivery(delivery, duplicate_at),
+                SendOutcome::Dropped { .. } => {}
+            }
+            self.stats
+                .proto
+                .of(Protocol::Transport)
+                .crash_drops
+                .add(self.net.fabric().fault_counters().crash_drops - before);
+            self.dispatch(from, to, ki, msg.payload, now);
             return;
         }
         match msg.payload {
@@ -368,36 +397,6 @@ impl KernelCtx<'_, '_> {
             // activity itself).
             payload @ (ProtoMsg::LoadReport { .. } | ProtoMsg::StealReq { .. }) => {
                 self.dispatch(from, to, ki, payload, now);
-            }
-            ProtoMsg::Seq { seq, inner } => {
-                if !self.net.accept_seq(to, from, seq) {
-                    self.stats.dup_suppressed.incr();
-                    self.stats.proto.of(Protocol::Transport).msgs_in.incr();
-                    return;
-                }
-                self.note_activity(now);
-                // Ack the sequence (unsequenced itself; a lost ack is
-                // harmless — see the ChanAck arm above).
-                self.stats.acks_sent.incr();
-                self.stats.proto.of(Protocol::Transport).msgs_out.incr();
-                let before = self.net.fabric().fault_counters().crash_drops;
-                match self
-                    .net
-                    .fabric_mut()
-                    .send(now, to, from, ProtoMsg::ChanAck { seq })
-                {
-                    SendOutcome::Delivered {
-                        delivery,
-                        duplicate_at,
-                    } => self.schedule_delivery(delivery, duplicate_at),
-                    SendOutcome::Dropped { .. } => {}
-                }
-                self.stats
-                    .proto
-                    .of(Protocol::Transport)
-                    .crash_drops
-                    .add(self.net.fabric().fault_counters().crash_drops - before);
-                self.dispatch(from, to, ki, *inner, now);
             }
             payload => {
                 self.note_activity(now);

@@ -12,7 +12,7 @@ use popcorn_kernel::policy::KernelLoad;
 use popcorn_kernel::program::{FutexOp, Op, Program, Resume, RmwOp};
 use popcorn_kernel::task::TaskStats;
 use popcorn_kernel::types::{CpuContext, Errno, GroupId, PageNo, Tid, VAddr};
-use popcorn_msg::{KernelId, RpcId, SeqEnvelope, Wire};
+use popcorn_msg::{KernelId, RpcId, Wire};
 use popcorn_sim::SimTime;
 
 /// The protocol family a message (or parked RPC) belongs to, mirroring the
@@ -444,25 +444,14 @@ pub enum ProtoMsg {
         thief: KernelId,
     },
 
-    /// Reliable-delivery envelope: `seq` orders messages on one directed
-    /// channel so the receiver can suppress injected duplicates. Only used
-    /// when fault injection and [`crate::PopcornParams::reliable_delivery`]
-    /// are both on; retransmissions are re-enveloped with a *fresh*
-    /// sequence number (the original was never seen by the receiver), so
-    /// per-channel arrivals stay monotone in `seq`.
-    Seq {
-        /// Per-directed-channel sequence number (1-based, never reused).
-        seq: u64,
-        /// The enveloped protocol message.
-        inner: Box<ProtoMsg>,
-    },
-    /// Receiver acknowledgement of one sequenced message. Functionally
+    /// Receiver acknowledgement of one sequenced message (one whose
+    /// [`popcorn_msg::Delivery::seq`] header is set). Functionally
     /// inert (the simulated sender observes delivery directly) but sent —
     /// and itself subject to fault injection — so the reliability layer's
     /// bandwidth/latency overhead is modelled honestly.
     ChanAck {
         /// The acknowledged sequence number.
-        seq: u64,
+        seq: u32,
     },
     /// Self-addressed timer: retransmit the buffered message under
     /// `token`. Never crosses the fabric.
@@ -518,10 +507,6 @@ impl ProtoMsg {
         use ProtoMsg::*;
         Some(match self {
             TaskMigrate(_) | CloneReq { .. } => return None,
-            Seq { seq, inner } => Seq {
-                seq: *seq,
-                inner: Box::new(inner.try_clone()?),
-            },
             MemberAt { group, tid, joined } => MemberAt {
                 group: *group,
                 tid: *tid,
@@ -725,8 +710,7 @@ impl ProtoMsg {
         })
     }
 
-    /// The protocol family handling this message (a [`ProtoMsg::Seq`]
-    /// envelope is classified by its payload).
+    /// The protocol family handling this message.
     pub fn protocol(&self) -> Protocol {
         use ProtoMsg::*;
         match self {
@@ -762,29 +746,12 @@ impl ProtoMsg {
             | RmwReq { .. }
             | RmwResp { .. }
             | FutexWakeErr { .. } => Protocol::Futex,
-            Seq { inner, .. } => inner.protocol(),
             ChanAck { .. }
             | RetxTimer { .. }
             | RpcDeadline { .. }
             | PolicyTick
             | CrashDetect { .. }
             | LoadReport { .. } => Protocol::Transport,
-        }
-    }
-}
-
-impl SeqEnvelope for ProtoMsg {
-    fn wrap_seq(seq: u64, inner: Self) -> Self {
-        ProtoMsg::Seq {
-            seq,
-            inner: Box::new(inner),
-        }
-    }
-
-    fn unwrap_seq(self) -> Result<(u64, Self), Self> {
-        match self {
-            ProtoMsg::Seq { seq, inner } => Ok((seq, *inner)),
-            other => Err(other),
         }
     }
 }
@@ -820,8 +787,6 @@ impl Wire for ProtoMsg {
             }
             // Bulk shadow install: (page, version) pairs.
             ProtoMsg::PtReplicaGrant { pages, .. } => HDR + pages.len() * 8,
-            // Envelope: the inner message plus the sequence-number field.
-            ProtoMsg::Seq { inner, .. } => 8 + inner.wire_size(),
             // Telemetry snapshot: four counters plus two rates.
             ProtoMsg::LoadReport { .. } => HDR + 32,
             // Small fixed-size control messages.
@@ -902,17 +867,37 @@ mod tests {
     }
 
     #[test]
-    fn seq_envelope_adds_only_the_seq_field() {
-        let inner = ProtoMsg::PageDone {
+    fn seq_header_adds_only_the_seq_field_on_the_wire() {
+        use popcorn_hw::{CoreId, HwParams, Machine, Topology};
+        use popcorn_msg::{Fabric, MsgParams};
+        let msg = || ProtoMsg::PageDone {
             group: GroupId(Tid::new(KernelId(0), 1)),
             page: PageNo(5),
         };
-        let bare = inner.wire_size();
-        let wrapped = ProtoMsg::Seq {
-            seq: 9,
-            inner: Box::new(inner),
+        let params = MsgParams::default();
+        // Send-side busy time of one send on an idle channel, and what it
+        // must be for a payload of `bytes`: one envelope line plus the
+        // payload rounded up to lines.
+        let busy = |sequenced: bool| {
+            let machine = Machine::new(Topology::new(1, 2), HwParams::default());
+            let mut f = Fabric::new(&machine, vec![CoreId(0), CoreId(1)], params.clone());
+            let (a, b) = (KernelId(0), KernelId(1));
+            let out = if sequenced {
+                f.send_sequenced(SimTime::ZERO, a, b, msg())
+            } else {
+                f.send(SimTime::ZERO, a, b, msg())
+            };
+            out.expect_delivered().send_busy.as_nanos()
         };
-        assert_eq!(wrapped.wire_size(), bare + 8);
+        let cost = |bytes: usize| {
+            params.send_sw_ns + (1 + (bytes as u64).div_ceil(64)) * params.per_line_ns
+        };
+        let bare = msg().wire_size();
+        assert_eq!(busy(false), cost(bare));
+        // The header is charged as an 8-byte field on the wire.
+        assert_eq!(busy(true), cost(bare + 8));
+        // A 64-byte control message spills its header into one more line.
+        assert_eq!(busy(true) - busy(false), params.per_line_ns);
     }
 
     #[test]
@@ -929,11 +914,6 @@ mod tests {
             pending: None,
         }));
         assert!(m.try_clone().is_none());
-        let wrapped = ProtoMsg::Seq {
-            seq: 1,
-            inner: Box::new(m),
-        };
-        assert!(wrapped.try_clone().is_none());
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! Allocation regression test for the remote-fault path: a directory write
-//! fault with three holders and a one-waiter page wait must not touch the
-//! heap. A counting global allocator tallies this thread's allocations, so
-//! tests running in parallel do not disturb each other's counts.
+//! Allocation regression tests for the remote-fault path and the reliable
+//! transport: a directory write fault with three holders, a one-waiter
+//! page wait and a sequenced send with its accept and ack must not touch
+//! the heap. A counting global allocator tallies this thread's
+//! allocations, so tests running in parallel do not disturb each other's
+//! counts. The event layout is pinned here too: every queued event pays
+//! for its size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -9,9 +12,12 @@ use std::hint::black_box;
 
 use popcorn_core::directory::{DirStep, Directory, PageRequest};
 use popcorn_core::machine::page::{PageWait, PageWaiters};
+use popcorn_core::proto::ProtoMsg;
+use popcorn_core::{PopEvent, PopcornParams};
+use popcorn_hw::{CoreId, HwParams, Machine, Topology};
 use popcorn_kernel::mm::{PageContents, PageState};
 use popcorn_kernel::types::{GroupId, PageNo, Tid};
-use popcorn_msg::{KernelId, RpcId};
+use popcorn_msg::{Fabric, FaultPlan, KernelId, MsgParams, ReliableFabric, RpcId, SendPlan};
 use popcorn_sim::SimTime;
 
 struct Counting;
@@ -144,4 +150,49 @@ fn joined_waiters_keep_join_order() {
     let order: Vec<_> = w.iter().collect();
     assert_eq!(order, vec![(t(1), false), (t(2), true), (t(3), false)]);
     assert_eq!(w.into_iter().collect::<Vec<_>>(), order);
+}
+
+#[test]
+fn pop_event_is_88_bytes() {
+    // The sequence header is a `u32` in `Delivery`'s padding; an
+    // `Option<u64>` would make this 104 and a `u64` 96.
+    assert_eq!(std::mem::size_of::<PopEvent>(), 88);
+}
+
+#[test]
+fn sequenced_send_accept_and_ack_allocate_nothing() {
+    let machine = Machine::new(Topology::new(1, 2), HwParams::default());
+    let params = MsgParams {
+        faults: FaultPlan::uniform_drop(1, 0.0), // active but lossless
+        ..MsgParams::default()
+    };
+    let fabric = Fabric::new(&machine, vec![CoreId(0), CoreId(1)], params);
+    let policy = PopcornParams::default().retx_policy();
+    let mut net: ReliableFabric<ProtoMsg> = ReliableFabric::new(fabric, policy, true);
+    let (a, b) = (KernelId(0), KernelId(1));
+    let round_trip = |net: &mut ReliableFabric<ProtoMsg>, at: u64| {
+        let now = SimTime::from_nanos(at);
+        let msg = ProtoMsg::PageDone {
+            group: GroupId(Tid::new(a, 1)),
+            page: P,
+        };
+        let SendPlan::Deliver { delivery, .. } = net.send(now, a, b, msg) else {
+            panic!("a lossless plan delivers");
+        };
+        assert!(net.accept(&delivery), "a fresh sequence number is accepted");
+        let ack = ProtoMsg::ChanAck { seq: delivery.seq };
+        let acked = net.fabric_mut().send(delivery.deliver_at, b, a, ack);
+        assert_eq!(
+            black_box(acked.expect_delivered()).seq,
+            0,
+            "acks are unsequenced"
+        );
+        delivery.seq
+    };
+    // The first round trip creates both channels' lazy entries.
+    assert_eq!(round_trip(&mut net, 0), 1);
+    let mut seq = 0;
+    let n = allocations_in(|| seq = round_trip(&mut net, 100_000));
+    assert_eq!(n, 0, "a sequenced send, accept and ack allocated");
+    assert_eq!(seq, 2);
 }

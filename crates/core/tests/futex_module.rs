@@ -55,6 +55,7 @@ fn deliver(at_ns: u64, from: u16, to: u16, payload: ProtoMsg) -> PopEvent {
     OsEvent::Custom(Delivery {
         from: KernelId(from),
         to: KernelId(to),
+        seq: 0,
         deliver_at: SimTime::from_nanos(at_ns),
         send_busy: SimTime::ZERO,
         payload,

@@ -52,8 +52,8 @@ fn uniform(faults: ChannelFaults) -> FaultPlan {
 /// consumer can observe: the duplicate deliveries are suppressed by the
 /// sequence check before dispatch, so report counts, policy activity,
 /// and the virtual timeline are identical to the same run without
-/// duplication. (Both plans are fault-active, so both runs wear the
-/// reliability envelope and share one timeline.)
+/// duplication. (Both plans are fault-active, so both runs carry
+/// sequence headers and share one timeline.)
 #[test]
 fn duplicated_reports_are_suppressed_not_double_counted() {
     let dup_storm = uniform(ChannelFaults {

@@ -411,8 +411,12 @@ impl Kernel {
         );
         let mut mm = mms.get_mut(&task.group);
 
+        // The task's resume value stays in a local across the op loop, so
+        // each op does not reload it from the task; it is written back
+        // once, when the call returns.
+        let mut resume = task.resume;
         let mut ops = 0u32;
-        loop {
+        let outcome = loop {
             // Slice renewal for a sole runner: nobody to switch to.
             if t >= cs.slice_end && cs.runqueue.is_empty() {
                 cs.slice_end = t + params.quantum();
@@ -424,12 +428,12 @@ impl Kernel {
                 cs.current = None;
                 cs.runqueue.push_back(tid);
                 cs.busy_until = t;
-                return RunOutcome::Preempted { at: t };
+                break RunOutcome::Preempted { at: t };
             }
             // Batching bound: yield to the event loop without modelling cost.
             if ops >= params.max_batched_ops {
                 cs.busy_until = t;
-                return RunOutcome::Busy { until: t };
+                break RunOutcome::Busy { until: t };
             }
             ops += 1;
 
@@ -443,11 +447,10 @@ impl Kernel {
                         kernel: *id,
                         now: t,
                     };
-                    let resume = std::mem::replace(&mut task.resume, Resume::Done);
                     task.program
                         .as_mut()
                         .unwrap_or_else(|| panic!("{tid} has no program (shadow ran?)"))
-                        .step(resume, &env)
+                        .step(std::mem::replace(&mut resume, Resume::Done), &env)
                 }
             };
 
@@ -474,14 +477,14 @@ impl Kernel {
                                 // Sole runner: yield to the event loop so
                                 // arrivals within this quantum get seen.
                                 cs.busy_until = t;
-                                return RunOutcome::Busy { until: t };
+                                break RunOutcome::Busy { until: t };
                             }
                             continue; // the loop head performs the preemption
                         }
                     }
                     t += dt;
                     task.stats.cpu_time += dt;
-                    task.resume = Resume::Done;
+                    resume = Resume::Done;
                 }
                 Op::Load(addr) | Op::Store(addr, _) => {
                     let write = matches!(op, Op::Store(..));
@@ -489,7 +492,7 @@ impl Kernel {
                     match mm.check_access(addr, write) {
                         AccessCheck::Ok => {
                             t += mem_access;
-                            task.resume = if let Op::Store(addr, val) = op {
+                            resume = if let Op::Store(addr, val) = op {
                                 mm.write_word(addr, val);
                                 Resume::Done
                             } else {
@@ -502,7 +505,7 @@ impl Kernel {
                             task.stats.faults += 1;
                             stats.faults.incr();
                             cs.busy_until = t;
-                            return RunOutcome::Fault {
+                            break RunOutcome::Fault {
                                 tid,
                                 page,
                                 write,
@@ -518,7 +521,7 @@ impl Kernel {
                             task.stats.faults += 1;
                             stats.faults.incr();
                             cs.busy_until = t;
-                            return RunOutcome::Fault {
+                            break RunOutcome::Fault {
                                 tid,
                                 page: addr.page(),
                                 write,
@@ -531,7 +534,7 @@ impl Kernel {
                 Op::AtomicRmw(addr, rmw) => {
                     task.state = TaskState::InSyscall;
                     cs.busy_until = t;
-                    return RunOutcome::SyncOp {
+                    break RunOutcome::SyncOp {
                         tid,
                         addr,
                         op: rmw,
@@ -544,7 +547,7 @@ impl Kernel {
                     task.stats.syscalls += 1;
                     stats.syscalls.incr();
                     cs.busy_until = t;
-                    return RunOutcome::Syscall { tid, req, at: t };
+                    break RunOutcome::Syscall { tid, req, at: t };
                 }
                 Op::Exit(code) => {
                     t += SimTime::from_nanos(params.exit_ns);
@@ -553,10 +556,12 @@ impl Kernel {
                     cs.current = None;
                     cs.busy_until = t;
                     stats.exited.incr();
-                    return RunOutcome::Exited { tid, code, at: t };
+                    break RunOutcome::Exited { tid, code, at: t };
                 }
             }
-        }
+        };
+        task.resume = resume;
+        outcome
     }
 
     /// Completes a syscall handled by the OS model: the task resumes on its

@@ -13,19 +13,23 @@
 //! private copy of this plumbing. This module hosts the shared
 //! implementation:
 //!
-//! - [`ReliableFabric`] wraps a [`Fabric`] and owns the sequence-number /
-//!   retransmit state. Its [`ReliableFabric::send`] returns a [`SendPlan`]
-//!   describing what the *caller* must schedule — the crate stays free of
-//!   any event-type dependency, so models with different event alphabets
-//!   can all use it.
+//! - [`ReliableFabric`] wraps a [`Fabric`] and owns the retransmit state.
+//!   Its [`ReliableFabric::send`] returns a [`SendPlan`] describing what
+//!   the *caller* must schedule — the crate stays free of any event-type
+//!   dependency, so models with different event alphabets can all use it.
 //! - [`Endpoint`] wraps an [`RpcTable`] and counts registrations and
 //!   completions, so per-protocol observability comes for free.
 //! - [`RetxPolicy`] owns the backoff arithmetic.
 //!
-//! The reliability state is allocated only when the fabric's fault plan is
-//! active *and* the model asked for reliable delivery; zero-fault runs
-//! carry no state and take the plain send path, which keeps their results
-//! byte-identical to a model using the fabric directly.
+//! The sequence number is a header of the fabric's [`Delivery`]
+//! envelope, not part of the payload: [`Fabric::send_sequenced`] stamps
+//! it from the channel's sender slot and [`Fabric::accept_seq`] checks it
+//! against the channel's receiver slot, so a sequenced send allocates
+//! nothing. The retransmit state is allocated only when the fabric's
+//! fault plan is active *and* the model asked for reliable delivery;
+//! zero-fault runs carry no state and take the plain, unsequenced send
+//! path, which keeps their results byte-identical to a model using the
+//! fabric directly.
 
 use std::collections::BTreeMap;
 
@@ -33,21 +37,6 @@ use popcorn_sim::{SimTime, TimerKey};
 
 use crate::fabric::{Delivery, Fabric, KernelId, SendOutcome, Wire};
 use crate::rpc::{RpcId, RpcTable};
-
-/// A payload type that can carry a sequence-number envelope.
-///
-/// The reliability layer wraps every payload in a sequence envelope (one
-/// variant of the model's message enum) so the receive side can suppress
-/// injected duplicates. The envelope must account for its own wire
-/// overhead in the payload's [`Wire`] impl.
-pub trait SeqEnvelope: Wire + Sized {
-    /// Wraps `inner` in a sequence envelope carrying `seq`.
-    fn wrap_seq(seq: u64, inner: Self) -> Self;
-
-    /// Unwraps a sequence envelope; `Err` returns a non-envelope payload
-    /// unchanged.
-    fn unwrap_seq(self) -> Result<(u64, Self), Self>;
-}
 
 /// Retransmission policy: exponential backoff from `base_ns`, clamped at
 /// `cap_ns`, giving up after `max_attempts` total transmissions.
@@ -109,46 +98,29 @@ struct Stashed<P> {
     payload: P,
 }
 
-/// Sequence-number and retransmit state, allocated only under active fault
-/// injection (see module docs). All maps are ordered: nothing iterates
-/// them today, but a hash map's arbitrary order would be a latent hazard
-/// for any future code that does.
+/// Retransmit state, allocated only under active fault injection (see
+/// module docs). `lost` stays ordered: [`ReliableFabric::abandon_to`]
+/// hands payloads back in token order, which the caller observes.
 #[derive(Debug)]
-struct SeqState<P> {
-    /// Next sequence number per directed channel `(sender, receiver)`.
-    next_seq: BTreeMap<(u16, u16), u64>,
-    /// Highest sequence seen per directed channel `(receiver, sender)`.
-    /// Channels are FIFO and retransmissions take *fresh* sequence numbers
-    /// (the receiver never saw the lost original), so arrivals are
-    /// strictly monotone in `seq` and anything at or below the high-water
-    /// mark is an injected duplicate.
-    last_seen: BTreeMap<(u16, u16), u64>,
+struct RetxState<P> {
     /// Lost messages awaiting their retransmit timer, by token.
-    retx: BTreeMap<u64, Stashed<P>>,
+    lost: BTreeMap<u64, Stashed<P>>,
     next_token: u64,
 }
 
-impl<P> Default for SeqState<P> {
+impl<P> Default for RetxState<P> {
     fn default() -> Self {
-        SeqState {
-            next_seq: BTreeMap::new(),
-            last_seen: BTreeMap::new(),
-            retx: BTreeMap::new(),
+        RetxState {
+            lost: BTreeMap::new(),
             next_token: 0,
         }
     }
 }
 
-impl<P> SeqState<P> {
-    fn alloc_seq(&mut self, from: KernelId, to: KernelId) -> u64 {
-        let c = self.next_seq.entry((from.0, to.0)).or_insert(0);
-        *c += 1;
-        *c
-    }
-
+impl<P> RetxState<P> {
     fn stash(&mut self, s: Stashed<P>) -> u64 {
         self.next_token += 1;
-        self.retx.insert(self.next_token, s);
+        self.lost.insert(self.next_token, s);
         self.next_token
     }
 }
@@ -196,22 +168,22 @@ pub enum SendPlan<P> {
 
 /// A [`Fabric`] with reliable delivery layered on top (see module docs).
 #[derive(Debug)]
-pub struct ReliableFabric<P: SeqEnvelope> {
+pub struct ReliableFabric<P: Wire> {
     fabric: Fabric,
     policy: RetxPolicy,
     /// `None` on the plain path (no faults or reliability disabled).
-    seq: Option<SeqState<P>>,
+    retx: Option<RetxState<P>>,
 }
 
-impl<P: SeqEnvelope> ReliableFabric<P> {
+impl<P: Wire> ReliableFabric<P> {
     /// Wraps `fabric`. Reliability state is allocated only when the
     /// fabric's fault plan is active and `reliable` is set.
     pub fn new(fabric: Fabric, policy: RetxPolicy, reliable: bool) -> Self {
-        let seq = (fabric.faults_active() && reliable).then(SeqState::default);
+        let retx = (fabric.faults_active() && reliable).then(RetxState::default);
         ReliableFabric {
             fabric,
             policy,
-            seq,
+            retx,
         }
     }
 
@@ -228,7 +200,7 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
 
     /// True when the reliability layer is active.
     pub fn is_reliable(&self) -> bool {
-        self.seq.is_some()
+        self.retx.is_some()
     }
 
     /// The retransmission policy.
@@ -238,7 +210,7 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
 
     /// Sends `payload`, sequenced when the reliability layer is active.
     pub fn send(&mut self, now: SimTime, from: KernelId, to: KernelId, payload: P) -> SendPlan<P> {
-        if self.seq.is_none() {
+        if self.retx.is_none() {
             return match self.fabric.send(now, from, to, payload) {
                 SendOutcome::Delivered {
                     delivery,
@@ -255,9 +227,10 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
 
     /// Retransmits the stashed message under `token`; `None` if the token
     /// is unknown (the stash was already drained). The retransmission
-    /// takes a *fresh* sequence number — see [`SeqState::last_seen`].
+    /// takes a *fresh* sequence number: the receiver never saw the lost
+    /// original, so per-channel arrivals stay monotone.
     pub fn retransmit(&mut self, now: SimTime, token: u64) -> Option<SendPlan<P>> {
-        let s = self.seq.as_mut()?.retx.remove(&token)?;
+        let s = self.retx.as_mut()?.lost.remove(&token)?;
         Some(self.transmit(now, s.from, s.to, s.payload, s.attempts + 1))
     }
 
@@ -270,13 +243,7 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
         payload: P,
         attempt: u32,
     ) -> SendPlan<P> {
-        let seq = self
-            .seq
-            .as_mut()
-            .expect("sequenced transmit without reliability state")
-            .alloc_seq(from, to);
-        let wrapped = P::wrap_seq(seq, payload);
-        match self.fabric.send(now, from, to, wrapped) {
+        match self.fabric.send_sequenced(now, from, to, payload) {
             SendOutcome::Delivered {
                 delivery,
                 duplicate_at,
@@ -285,23 +252,20 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
                 duplicate_at,
             },
             SendOutcome::Dropped { payload, .. } => {
-                let Ok((_, inner)) = payload.unwrap_seq() else {
-                    unreachable!("the fabric returns the payload it was given");
-                };
                 if attempt >= self.policy.max_attempts {
-                    return SendPlan::Abandoned {
-                        from,
-                        to,
-                        payload: inner,
-                    };
+                    return SendPlan::Abandoned { from, to, payload };
                 }
                 let backoff = SimTime::from_nanos(self.policy.backoff_ns(attempt));
-                let token = self.seq.as_mut().expect("present above").stash(Stashed {
-                    from,
-                    to,
-                    attempts: attempt,
-                    payload: inner,
-                });
+                let token = self
+                    .retx
+                    .as_mut()
+                    .expect("sequenced transmit without reliability state")
+                    .stash(Stashed {
+                        from,
+                        to,
+                        attempts: attempt,
+                        payload,
+                    });
                 SendPlan::Backoff {
                     token,
                     fire_at: now + backoff,
@@ -321,35 +285,30 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
     /// state that expected them to arrive (exactly as for
     /// [`SendPlan::Abandoned`]).
     pub fn abandon_to(&mut self, from: KernelId, to: KernelId) -> Vec<P> {
-        let Some(state) = self.seq.as_mut() else {
+        let Some(state) = self.retx.as_mut() else {
             return Vec::new();
         };
         let tokens: Vec<u64> = state
-            .retx
+            .lost
             .iter()
             .filter(|(_, s)| s.from == from && s.to == to)
             .map(|(&t, _)| t)
             .collect();
         tokens
             .into_iter()
-            .map(|t| state.retx.remove(&t).expect("token listed above").payload)
+            .map(|t| state.lost.remove(&t).expect("token listed above").payload)
             .collect()
     }
 
-    /// Receive-side duplicate suppression: records `seq` as seen on the
-    /// directed channel `sender → receiver` and returns true when it is
-    /// fresh (deliver + ack) or false for an injected duplicate (drop).
-    pub fn accept_seq(&mut self, receiver: KernelId, sender: KernelId, seq: u64) -> bool {
-        let Some(state) = self.seq.as_mut() else {
-            debug_assert!(false, "sequenced message without reliability state");
-            return false;
-        };
-        let last = state.last_seen.entry((receiver.0, sender.0)).or_insert(0);
-        if seq <= *last {
-            return false;
-        }
-        *last = seq;
-        true
+    /// Receive-side duplicate suppression for a sequenced delivery (see
+    /// [`Fabric::accept_seq`]): true when it is fresh (deliver + ack),
+    /// false for an injected duplicate (drop).
+    pub fn accept(&mut self, d: &Delivery<P>) -> bool {
+        debug_assert!(
+            self.is_reliable(),
+            "sequenced delivery without reliability state"
+        );
+        self.fabric.accept_seq(d.from, d.to, d.seq)
     }
 }
 
@@ -446,31 +405,11 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Msg {
         Ping,
-        Seq { seq: u64, inner: Box<Msg> },
     }
 
     impl Wire for Msg {
         fn wire_size(&self) -> usize {
-            match self {
-                Msg::Ping => 64,
-                Msg::Seq { inner, .. } => 8 + inner.wire_size(),
-            }
-        }
-    }
-
-    impl SeqEnvelope for Msg {
-        fn wrap_seq(seq: u64, inner: Self) -> Self {
-            Msg::Seq {
-                seq,
-                inner: Box::new(inner),
-            }
-        }
-
-        fn unwrap_seq(self) -> Result<(u64, Self), Self> {
-            match self {
-                Msg::Seq { seq, inner } => Ok((seq, *inner)),
-                other => Err(other),
-            }
+            64
         }
     }
 
@@ -507,7 +446,7 @@ mod tests {
         assert!(!net.is_reliable());
         match net.send(SimTime::ZERO, KernelId(0), KernelId(1), Msg::Ping) {
             SendPlan::Deliver { delivery, .. } => {
-                assert_eq!(delivery.payload, Msg::Ping); // no envelope
+                assert_eq!(delivery.seq, 0); // unsequenced
                 assert!(delivery.deliver_at > SimTime::ZERO);
             }
             other => panic!("expected Deliver, got {other:?}"),
@@ -515,19 +454,16 @@ mod tests {
     }
 
     #[test]
-    fn sequenced_sends_wrap_with_monotone_seq() {
+    fn sequenced_sends_carry_monotone_seq_headers() {
         let plan = FaultPlan::uniform_drop(1, 0.0); // active but lossless
         let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), policy(), true);
         assert!(net.is_reliable());
-        for expect in 1..=3u64 {
+        for expect in 1..=3u32 {
             match net.send(SimTime::ZERO, KernelId(0), KernelId(1), Msg::Ping) {
-                SendPlan::Deliver { delivery, .. } => match delivery.payload {
-                    Msg::Seq { seq, inner } => {
-                        assert_eq!(seq, expect);
-                        assert_eq!(*inner, Msg::Ping);
-                    }
-                    other => panic!("expected Seq envelope, got {other:?}"),
-                },
+                SendPlan::Deliver { delivery, .. } => {
+                    assert_eq!(delivery.seq, expect);
+                    assert_eq!(delivery.payload, Msg::Ping);
+                }
                 other => panic!("expected Deliver, got {other:?}"),
             }
         }
@@ -644,16 +580,20 @@ mod tests {
     }
 
     #[test]
-    fn accept_seq_suppresses_duplicates_per_channel() {
+    fn accept_suppresses_duplicates_per_channel() {
         let plan = FaultPlan::uniform_drop(1, 0.0);
         let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), policy(), true);
         let (a, b) = (KernelId(0), KernelId(1));
-        assert!(net.accept_seq(b, a, 1));
-        assert!(!net.accept_seq(b, a, 1)); // duplicate
-        assert!(net.accept_seq(b, a, 2));
-        assert!(!net.accept_seq(b, a, 1)); // stale duplicate
-                                           // Directions are independent channels.
-        assert!(net.accept_seq(a, b, 1));
+        let mut send = |from, to| match net.send(SimTime::ZERO, from, to, Msg::Ping) {
+            SendPlan::Deliver { delivery, .. } => delivery,
+            other => panic!("expected Deliver, got {other:?}"),
+        };
+        let (ab1, ab2, ba1) = (send(a, b), send(a, b), send(b, a));
+        assert!(net.accept(&ab1));
+        assert!(!net.accept(&ab1)); // duplicate
+        assert!(net.accept(&ab2));
+        assert!(!net.accept(&ab1)); // stale duplicate
+        assert!(net.accept(&ba1)); // directions are independent channels
     }
 
     #[test]

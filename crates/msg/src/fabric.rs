@@ -27,6 +27,9 @@ pub trait Wire {
     fn wire_size(&self) -> usize;
 }
 
+/// Wire bytes of the sequence-number header on a sequenced send.
+pub const SEQ_HEADER_BYTES: usize = 8;
+
 /// A message accepted by the fabric: the payload plus the virtual time at
 /// which the receiving kernel's handler runs. The OS model schedules a
 /// simulation event at `deliver_at`.
@@ -37,6 +40,11 @@ pub struct Delivery<P> {
     pub from: KernelId,
     /// Receiver.
     pub to: KernelId,
+    /// Sequence-number header: 1-based per directed channel on a
+    /// [`Fabric::send_sequenced`] send, 0 on an unsequenced one. A `u32`
+    /// fits the padding after the two kernel ids, so the header adds
+    /// nothing to the size of a `Delivery` (or of an event holding one).
+    pub seq: u32,
     /// When the receive-side handler completes demux and may act.
     pub deliver_at: SimTime,
     /// Time the sending CPU was busy in the send path.
@@ -120,6 +128,12 @@ struct Channel {
     tx_free_at: SimTime,
     /// FIFO guarantee: no later message may be delivered before this.
     last_delivery: SimTime,
+    /// Sender side: the last sequence number handed out (0 = none yet).
+    next_seq: u32,
+    /// Receiver side: the highest sequence number accepted. Channels are
+    /// FIFO and a retransmission takes a fresh number, so arrivals are
+    /// strictly monotone and anything at or below this is a duplicate.
+    last_seen: u32,
     sends: Counter,
     bytes: Counter,
     queue_delay: Histogram,
@@ -231,6 +245,36 @@ impl Fabric {
         to: KernelId,
         payload: P,
     ) -> SendOutcome<P> {
+        self.send_with(now, from, to, payload, false)
+    }
+
+    /// [`Fabric::send`] with a sequence-number header: the channel's next
+    /// number goes into [`Delivery::seq`] and the header's
+    /// [`SEQ_HEADER_BYTES`] are charged on the wire. A dropped send still
+    /// consumes its number.
+    ///
+    /// # Panics
+    ///
+    /// As [`Fabric::send`], and when a channel exhausts its `u32`
+    /// sequence space.
+    pub fn send_sequenced<P: Wire>(
+        &mut self,
+        now: SimTime,
+        from: KernelId,
+        to: KernelId,
+        payload: P,
+    ) -> SendOutcome<P> {
+        self.send_with(now, from, to, payload, true)
+    }
+
+    fn send_with<P: Wire>(
+        &mut self,
+        now: SimTime,
+        from: KernelId,
+        to: KernelId,
+        payload: P,
+        sequenced: bool,
+    ) -> SendOutcome<P> {
         assert_ne!(from, to, "kernel cannot message itself");
         assert!(
             (from.0 as usize) < self.locations.len(),
@@ -238,7 +282,7 @@ impl Fabric {
         );
         assert!((to.0 as usize) < self.locations.len(), "{to} out of range");
 
-        let size = payload.wire_size();
+        let size = payload.wire_size() + if sequenced { SEQ_HEADER_BYTES } else { 0 };
         // One envelope line plus the payload, rounded up to cache lines.
         let lines = 1 + (size as u64).div_ceil(64);
         let tx_time = SimTime::from_nanos(self.params.send_sw_ns + lines * self.params.per_line_ns);
@@ -255,6 +299,15 @@ impl Fabric {
         ch.bytes.add(lines * 64);
         ch.queue_delay.record_time(queue_delay);
         self.total_sends.incr();
+        let seq = if sequenced {
+            ch.next_seq = ch
+                .next_seq
+                .checked_add(1)
+                .expect("channel sequence numbers exhausted");
+            ch.next_seq
+        } else {
+            0
+        };
 
         // Fault verdict. `None` (the default plan) does no work at all, so
         // the zero-fault path is identical to a fabric without injection.
@@ -298,12 +351,32 @@ impl Fabric {
             delivery: Delivery {
                 from,
                 to,
+                seq,
                 deliver_at,
                 send_busy: tx_done - now,
                 payload,
             },
             duplicate_at,
         }
+    }
+
+    /// Receive-side duplicate suppression for a sequenced delivery on
+    /// `from → to`: true when `seq` is fresh (it becomes the channel's
+    /// high-water mark), false for an injected duplicate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing was ever sent on the channel.
+    pub fn accept_seq(&mut self, from: KernelId, to: KernelId, seq: u32) -> bool {
+        let ch = self
+            .channels
+            .get_mut(&(from, to))
+            .expect("a sequenced delivery was sent on its channel");
+        if seq <= ch.last_seen {
+            return false;
+        }
+        ch.last_seen = seq;
+        true
     }
 
     /// Sends a clone of `payload` to every other kernel (the payload itself
@@ -663,6 +736,28 @@ mod tests {
         let _ = f
             .send(SimTime::ZERO, KernelId(0), KernelId(1), Blob(64))
             .expect_delivered();
+    }
+
+    #[test]
+    fn a_dropped_sequenced_send_consumes_its_number() {
+        let params = MsgParams {
+            faults: FaultPlan::none().with_drop_nth(KernelId(0), KernelId(1), 2),
+            ..MsgParams::default()
+        };
+        let mut f = fabric_with(2, params);
+        let send =
+            |f: &mut Fabric| f.send_sequenced(SimTime::ZERO, KernelId(0), KernelId(1), Blob(64));
+        let first = send(&mut f).expect_delivered();
+        assert!(!send(&mut f).was_delivered());
+        let third = send(&mut f).expect_delivered();
+        assert_eq!((first.seq, third.seq), (1, 3));
+        // Unsequenced traffic on the same channel carries no header.
+        let plain = f
+            .send(SimTime::ZERO, KernelId(0), KernelId(1), Blob(64))
+            .expect_delivered();
+        assert_eq!(plain.seq, 0);
+        assert!(f.accept_seq(KernelId(0), KernelId(1), third.seq));
+        assert!(!f.accept_seq(KernelId(0), KernelId(1), first.seq));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod kernel_set;
 pub mod params;
 pub mod rpc;
 
-pub use endpoint::{Endpoint, ReliableFabric, RetxPolicy, SendPlan, SeqEnvelope};
+pub use endpoint::{Endpoint, ReliableFabric, RetxPolicy, SendPlan};
 pub use fabric::{Delivery, Fabric, KernelId, SendOutcome, Wire};
 pub use fault::{Blackout, ChannelFaults, Crash, FaultCounters, FaultPlan};
 pub use kernel_set::KernelSet;

@@ -9,7 +9,7 @@ use popcorn::core::{PopcornOs, PopcornParams};
 use popcorn::hw::Topology;
 use popcorn::kernel::osmodel::{OsModel, RunReport};
 use popcorn::kernel::program::{Placement, Program};
-use popcorn::msg::{FaultPlan, MsgParams};
+use popcorn::msg::{ChannelFaults, FaultPlan, MsgParams};
 use popcorn::sim::SimRng;
 use popcorn::workloads::micro;
 use popcorn::workloads::npb::{self, NpbConfig};
@@ -222,8 +222,10 @@ fn combined_feature_gates_complete_cleanly() {
             }
         }
     }
-    // Evidence that each gate and the loss plan actually engaged.
+    // Evidence that each gate and the loss plan actually engaged, and that
+    // every gate combination suppressed duplicates by sequence header.
     let (mut drops, mut delegated, mut replica_installs) = (0.0, 0.0, 0.0);
+    let mut dups_suppressed = vec![0.0; gates.len()];
     let mut rng = SimRng::new(0x5EED_6006);
     for _ in 0..24 {
         let threads = rng.range_u64(1, 10) as usize;
@@ -246,13 +248,28 @@ fn combined_feature_gates_complete_cleanly() {
         };
         let base = run_popcorn_with(kernels, gates[0].clone(), FaultPlan::none(), make());
         assert!(base.is_clean(), "gates off stuck: {:?}", base.stuck_tasks);
-        for pop in &gates {
-            for faults in [FaultPlan::none(), FaultPlan::uniform_drop(seed, 0.01)] {
-                let lossy = faults.is_active();
+        // Duplicates and extra delay on top of the 1% drops.
+        let noisy = FaultPlan {
+            seed,
+            uniform: Some(ChannelFaults {
+                drop_p: 0.01,
+                dup_p: 0.05,
+                delay_p: 0.05,
+                delay_max_ns: 20_000,
+            }),
+            ..FaultPlan::none()
+        };
+        for (gate, pop) in gates.iter().enumerate() {
+            for faults in [
+                FaultPlan::none(),
+                FaultPlan::uniform_drop(seed, 0.01),
+                noisy.clone(),
+            ] {
+                let plan = faults.uniform.clone();
                 let r = run_popcorn_with(kernels, pop.clone(), faults, make());
                 let cell = format!(
                     "k={kernels} sharding={} replication={} first_fault={} \
-                     first_touch={} eager_vma={} lossy={lossy}",
+                     first_touch={} eager_vma={} faults={plan:?}",
                     pop.home_sharding,
                     pop.page_table_replication,
                     pop.replicate_on_first_fault,
@@ -265,10 +282,14 @@ fn combined_feature_gates_complete_cleanly() {
                 drops += r.metric("drops_injected");
                 delegated += r.metric("shard_delegated_pages");
                 replica_installs += r.metric("replica_installs");
+                dups_suppressed[gate] += r.metric("dup_suppressed");
             }
         }
     }
     assert!(drops > 0.0, "the lossy plan never dropped a message");
+    for (pop, dups) in gates.iter().zip(&dups_suppressed) {
+        assert!(*dups > 0.0, "no duplicate was suppressed under {pop:?}");
+    }
     assert!(delegated > 0.0, "home sharding never delegated a page");
     assert!(
         replica_installs > 0.0,
